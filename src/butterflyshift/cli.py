@@ -10,18 +10,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from . import critical, oracle
 from .model import ModelParams, build_graph
 from .series import DEFAULT_TOL, riemann_zeta
 from .svgchart import write_line_chart
-
-THREADS_ENV = "BUTTERFLYSHIFT_THREADS"
 
 EXIT_OK = 0
 EXIT_ORACLE_FAIL = 1
@@ -39,21 +37,19 @@ class RunConfig:
     beta_stop: float = 1.2
     beta_step: float = 0.01
     series_tol: float = DEFAULT_TOL
-    root_tol: float = 1e-12
     n_return: int = 22
     n_period: int = 12
     n_ln: int = 20
     out: str | None = None
     svg: bool = False
-    deterministic_reduction: bool = True
 
     def __post_init__(self) -> None:
         if self.beta_start < 0:
             raise ConfigError("beta_start must be >= 0")
         if self.beta_step <= 0:
             raise ConfigError("beta_step must be > 0")
-        if self.series_tol <= 0 or self.root_tol <= 0:
-            raise ConfigError("tolerances must be positive")
+        if self.series_tol <= 0:
+            raise ConfigError("series_tol must be positive")
         if not (1 <= self.n_return <= oracle.RAW_HORIZON_CAP):
             raise ConfigError(f"n_return must be in 1..{oracle.RAW_HORIZON_CAP}")
         if not (3 <= self.n_period <= oracle.PERIOD_CAP):
@@ -65,9 +61,8 @@ class RunConfig:
 _PARAM_KEYS = {"alpha": float, "gamma": float, "delta": float, "epsilon": float,
                "L": int, "variant": str}
 _CONFIG_KEYS = {"beta_start": float, "beta_stop": float, "beta_step": float,
-                "series_tol": float, "root_tol": float, "n_return": int,
-                "n_period": int, "n_ln": int, "out": str, "svg": bool,
-                "deterministic_reduction": bool}
+                "series_tol": float, "n_return": int, "n_period": int, "n_ln": int,
+                "out": str, "svg": bool}
 
 
 def _parse_bool(v: str) -> bool:
@@ -149,18 +144,6 @@ def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
             fh.close()
 
 
-def _thread_map(fn, items):
-    try:
-        workers = int(os.environ.get(THREADS_ENV, "1") or "1")
-    except ValueError:
-        workers = 1
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))  # map preserves input order
-
-
 def _beta_grid(cfg: RunConfig) -> list[float]:
     grid = []
     k = 0
@@ -198,8 +181,7 @@ def cmd_critical(cfg: RunConfig) -> int:
 
 def cmd_curves(cfg: RunConfig) -> int:
     grid = _beta_grid(cfg)
-    samples = _thread_map(lambda b: critical.pressure_sample(cfg.params, b, cfg.series_tol),
-                          grid)
+    samples = [critical.pressure_sample(cfg.params, b, cfg.series_tol) for b in grid]
     rows = [[s.beta, s.p34, s.p_mid, s.p_full, s.ztilde, s.regime] for s in samples]
     _write_csv(cfg.out, ["beta", "p34", "p_mid", "p_full", "ztilde", "regime"], rows)
     if cfg.svg:
@@ -249,12 +231,12 @@ def cmd_oracle(cfg: RunConfig, corrupt_edge: str | None) -> int:
     params = cfg.params
     extra = []
     if corrupt_edge:
-        try:
-            a, _, b = corrupt_edge.partition(":")
-            extra.append((a.strip(), b.strip()))
-        except Exception as exc:  # pragma: no cover - trivial parse
-            raise ConfigError(f"bad --corrupt-edge {corrupt_edge!r}: {exc}") from exc
-    graph = build_graph(params, extra_edges=extra)
+        a, _, b = corrupt_edge.partition(":")
+        extra.append((a.strip(), b.strip()))
+    try:
+        graph = build_graph(params, extra_edges=extra)
+    except ValueError as exc:
+        raise ConfigError(f"bad --corrupt-edge {corrupt_edge!r}: {exc}") from exc
     failures = []
     print(f"{'check':<28} {'analytic':>22} {'oracle':>22} {'gap':>12} {'bound':>12}  status")
 
@@ -322,7 +304,7 @@ def cmd_sweep(cfg: RunConfig, param_name: str, values: list[float]) -> int:
         zl = riemann_zeta(eb_lo) if eb_lo > 1 else math.inf
         return [v_typed, crit.beta_lo, crit.beta_hi, eb_lo, eb_hi, zl]
 
-    rows = _thread_map(one, values)
+    rows = [one(v) for v in values]
     _write_csv(cfg.out, ["value", "beta_lo", "beta_hi", "eps_beta_lo",
                          "eps_beta_hi", "zeta_eps_beta_lo"], rows)
     return EXIT_OK
@@ -342,7 +324,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta-stop", dest="beta_stop", type=float)
     p.add_argument("--beta-step", dest="beta_step", type=float)
     p.add_argument("--series-tol", dest="series_tol", type=float)
-    p.add_argument("--root-tol", dest="root_tol", type=float)
     p.add_argument("--n-return", dest="n_return", type=int)
     p.add_argument("--n-period", dest="n_period", type=int)
     p.add_argument("--n-ln", dest="n_ln", type=int)
@@ -351,6 +332,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="also write an SVG chart next to the CSV")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="butterflyshift",

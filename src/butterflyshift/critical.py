@@ -88,16 +88,12 @@ def pressure_34(params: ModelParams, beta: float) -> float:
     return wing_pressure(params, beta)
 
 
-def _beta_lo_map(params: ModelParams, beta: float, tol: float) -> float:
-    return composition_value_at_floor(params, beta, tol) - 1.0
-
-
 @lru_cache(maxsize=256)
 def _critical_set_cached(params: ModelParams, tol: float) -> CriticalSet:
     eps = params.epsilon
 
     def f_lo(u: float) -> float:
-        return _beta_lo_map(params, (1.0 + u) / eps, tol)
+        return composition_value_at_floor(params, (1.0 + u) / eps, tol) - 1.0
 
     lo = bisect_log_offset(f_lo)
     b_lo = (1.0 + lo.offset) / eps
@@ -223,29 +219,16 @@ def equilibrium_report(params: ModelParams, which: str,
     eps_beta = params.epsilon * b
     dS3 = dsigma_dZ("S3", params, b, wing_pressure(params, b), tol=tol)
     finite = not dS3.divergent
-    if which == "at_beta_lo":
-        if params.variant == "A":
-            # the wing equilibrium always exists; a second one needs weight on
-            # [32], i.e. eps*beta_1 > 2, which the zeta bound rules out
-            count = 2 if finite else 1
-            weight = finite
-        else:
-            # doubled wings: the two mirrored wing equilibria coexist
-            count = 2
-            weight = finite
-    else:
-        if params.variant == "A":
-            count = 2 if finite else 1
-            weight = finite
-        else:
-            count = 2
-            weight = finite
+    # a second equilibrium needs weight on the inducing cylinder (finite return
+    # time), except with doubled wings, where the two mirrored wing
+    # equilibria always coexist
+    count = 2 if finite or params.variant == "B" else 1
     return EquilibriumReport(
         beta_star=b,
         eps_beta=eps_beta,
         return_time_derivative_finite=finite,
         count_lower_bound=count,
-        weight_on_cylinder=weight,
+        weight_on_cylinder=finite,
     )
 
 

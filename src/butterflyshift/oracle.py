@@ -54,6 +54,8 @@ from .spectral import (
 RAW_HORIZON_CAP = 30
 LITERAL_HORIZON_CAP = 14
 PERIOD_CAP = 14
+POWER_TOL = 1e-12
+POWER_MAX_ITER = 20000
 
 
 @dataclass(frozen=True)
@@ -367,16 +369,16 @@ def enumerate_returns_to_1(params: ModelParams, beta: float, Z: float, N: int,
 
 
 def enumerate_returns_to_32(params: ModelParams, beta: float, Z: float, N: int,
-                            graph: TransitionGraph | None = None,
-                            engine: str = "dp") -> OracleComparison:
-    """Exhaustive first-return enumeration to [32] vs. the analytic lambda."""
+                            graph: TransitionGraph | None = None) -> OracleComparison:
+    """Exhaustive first-return enumeration to [32] vs. the analytic lambda.
+
+    Runs on the graph-walk ("dp") engine only.
+    """
     if graph is None:
         graph = build_graph(params)
     z_floor = abscissa_32(params, beta)
     if Z <= z_floor:
         raise ValueError(f"Z={Z} is not inside the [32] convergence domain (Z_c={z_floor})")
-    if engine != "dp":
-        raise ValueError("the [32] comparison runs on the graph-walk engine")
     if N > RAW_HORIZON_CAP:
         raise ValueError(f"graph-walk enumeration capped at N={RAW_HORIZON_CAP}")
     per_tau = dp_partial_returns_to_32(graph, params, beta, Z, N)
@@ -450,20 +452,19 @@ def incidence_matrix(graph: TransitionGraph, restrict_to=None) -> np.ndarray:
     return M
 
 
-def incidence_entropy(graph: TransitionGraph, restrict_to=None,
-                      tol: float = 1e-12, max_iter: int = 20000) -> float:
+def incidence_entropy(graph: TransitionGraph, restrict_to=None) -> float:
     """log of the spectral radius of the 0/1 incidence matrix, by power iteration."""
     M = incidence_matrix(graph, restrict_to)
     v = np.ones(M.shape[0]) / math.sqrt(M.shape[0])
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         w = M @ v
         nrm = float(np.linalg.norm(w))
         if nrm == 0.0:
             return -math.inf
         v_new = w / nrm
         lam_new = float(v_new @ (M @ v_new))
-        if abs(lam_new - lam) < tol * max(1.0, lam_new):
+        if abs(lam_new - lam) < POWER_TOL * max(1.0, lam_new):
             return math.log(lam_new)
         v, lam = v_new, lam_new
     return math.log(lam)
@@ -471,10 +472,6 @@ def incidence_entropy(graph: TransitionGraph, restrict_to=None,
 
 def no_one_family(graph: TransitionGraph) -> tuple[str, ...]:
     return tuple(s for s in graph.alphabet if not is_one_family(s))
-
-
-def pure_wing(graph: TransitionGraph) -> tuple[str, ...]:
-    return (THREE, FOUR)
 
 
 def periodic_orbit_pressure(params: ModelParams, beta: float, n: int,

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 OFFSET_FLOOR = 1e-300
+HI_CAP = 1e9
+MAX_ITER = 240
 
 
 @dataclass(frozen=True)
@@ -23,13 +25,7 @@ class RootResult:
     bracket: tuple[float, float]
 
 
-def bisect_log_offset(
-    f: Callable[[float], float],
-    hi0: float = 1.0,
-    floor: float = OFFSET_FLOOR,
-    hi_cap: float = 1e9,
-    max_iter: int = 240,
-) -> RootResult:
+def bisect_log_offset(f: Callable[[float], float], hi0: float = 1.0) -> RootResult:
     """Root of a decreasing map f(w) on w > 0, bisected in log(w).
 
     f may return +inf to signal "still above the root" (e.g. a divergent
@@ -37,16 +33,16 @@ def bisect_log_offset(
     floor the root is numerically indistinguishable from the floor and the
     floor is returned.
     """
-    f_floor = f(floor)
+    f_floor = f(OFFSET_FLOOR)
     if f_floor <= 0.0:
-        return RootResult(floor, f_floor, (floor, floor))
+        return RootResult(OFFSET_FLOOR, f_floor, (OFFSET_FLOOR, OFFSET_FLOOR))
     hi = hi0
     while f(hi) > 0.0:
         hi *= 4.0
-        if hi > hi_cap:
+        if hi > HI_CAP:
             raise ArithmeticError("no sign change up to the bracket cap")
-    t_lo, t_hi = math.log(floor), math.log(hi)
-    for _ in range(max_iter):
+    t_lo, t_hi = math.log(OFFSET_FLOOR), math.log(hi)
+    for _ in range(MAX_ITER):
         t_mid = 0.5 * (t_lo + t_hi)
         if f(math.exp(t_mid)) > 0.0:
             t_lo = t_mid

@@ -135,7 +135,7 @@ def _li_expansion(s: float, W: float) -> tuple[float, float]:
     return total, mags * 5e-16
 
 
-def tail_sum(s: float, W: float, tol: float = DEFAULT_TOL, cap: int = TERM_CAP) -> SeriesEval:
+def tail_sum(s: float, W: float, tol: float = DEFAULT_TOL) -> SeriesEval:
     """T(s, W) = sum_{n>=1} (n+1)^(-s) e^(-nW) with a certified tail bound.
 
     Divergent iff W < 0, or W = 0 with s <= 1.
@@ -167,7 +167,7 @@ def tail_sum(s: float, W: float, tol: float = DEFAULT_TOL, cap: int = TERM_CAP) 
                    if r < 1.0 else math.inf)
         poly = (N + 1.0) ** (1.0 - s) / (s - 1.0) if s > 1.0 else math.inf
         tail = min(geo, poly)
-        if tail <= tol or N >= cap:
+        if tail <= tol or N >= TERM_CAP:
             return SeriesEval(total, tail, N, False)
         n0 += chunk
         chunk = min(chunk * 2, 1 << 20)
@@ -177,36 +177,21 @@ def _one_family_ratio(params: ModelParams, beta: float, Z: float) -> float:
     return params.L * math.exp(-params.alpha * beta - Z)
 
 
-def sigma1(params: ModelParams, beta: float, Z: float, mode: str = "closed",
-           tol: float = DEFAULT_TOL, cap: int = TERM_CAP) -> SeriesEval:
+def sigma1(params: ModelParams, beta: float, Z: float) -> SeriesEval:
     """sum_{n>=1} e^(-n*alpha*beta - nZ + (n-1) log L): the 1-family excursions.
 
-    Geometric; divergent iff Z <= log L - alpha*beta.  The closed form is the
-    default; mode="sum" does explicit summation (kept as a cross-check).
+    Geometric, so taken in closed form; divergent iff Z <= log L - alpha*beta.
     """
     r = _one_family_ratio(params, beta, Z)
     if r >= 1.0:
         return _DIVERGENT
-    first = math.exp(-params.alpha * beta - Z)
-    if mode == "closed":
-        return SeriesEval(first / (1.0 - r), 0.0, 0, False)
-    if mode != "sum":
-        raise ValueError(f"unknown sigma1 mode {mode!r}")
-    total, term, n = 0.0, first, 0
-    while n < cap:
-        n += 1
-        total += term
-        tail = term * r / (1.0 - r)
-        if tail <= tol:
-            return SeriesEval(total, tail, n, False)
-        term *= r
-    return SeriesEval(total, term / (1.0 - r), n, False)
+    return SeriesEval(math.exp(-params.alpha * beta - Z) / (1.0 - r), 0.0, 0, False)
 
 
 def sigma2(params: ModelParams, beta: float, Z: float,
-           tol: float = DEFAULT_TOL, cap: int = TERM_CAP) -> SeriesEval:
+           tol: float = DEFAULT_TOL) -> SeriesEval:
     """sum_{n>=1} (n+1)^(-beta) e^(-nZ): the weight of maximal 2-strings."""
-    return tail_sum(beta, Z, tol, cap)
+    return tail_sum(beta, Z, tol)
 
 
 def _wing_prefactor(params: ModelParams, beta: float) -> float:
@@ -238,7 +223,7 @@ def single_block_correction(params: ModelParams, beta: float, Z: float) -> float
 
 
 def sigma3(params: ModelParams, beta: float, Z: float,
-           tol: float = DEFAULT_TOL, cap: int = TERM_CAP) -> SeriesEval:
+           tol: float = DEFAULT_TOL) -> SeriesEval:
     """Weight of maximal wing blocks between consecutive 2-strings.
 
     With W = Z - P34(beta):
@@ -249,7 +234,7 @@ def sigma3(params: ModelParams, beta: float, Z: float,
     Divergent iff W < 0, or W = 0 with eps*beta <= 1.
     """
     W = Z - wing_pressure(params, beta)
-    base = tail_sum(params.epsilon * beta, W, tol, cap)
+    base = tail_sum(params.epsilon * beta, W, tol)
     if base.divergent:
         return _DIVERGENT
     pref = _wing_prefactor(params, beta)
@@ -260,7 +245,7 @@ def sigma3(params: ModelParams, beta: float, Z: float,
 
 
 def dsigma_dZ(which: str, params: ModelParams, beta: float, Z: float,
-              tol: float = DEFAULT_TOL, cap: int = TERM_CAP) -> SeriesEval:
+              tol: float = DEFAULT_TOL) -> SeriesEval:
     """Term-wise d/dZ of sigma1 / sigma2 / sigma3 (every term gains -n).
 
     For S3 at W = 0 the derivative series is sum n (n+1)^(-eps*beta), finite
@@ -275,8 +260,8 @@ def dsigma_dZ(which: str, params: ModelParams, beta: float, Z: float,
         return SeriesEval(-first / (1.0 - r) ** 2, 0.0, 0, False)
     if which == "S2":
         # n (n+1)^(-s) = (n+1)^(1-s) - (n+1)^(-s)
-        hi = tail_sum(beta - 1.0, Z, tol, cap)
-        lo = tail_sum(beta, Z, tol, cap)
+        hi = tail_sum(beta - 1.0, Z, tol)
+        lo = tail_sum(beta, Z, tol)
         if hi.divergent or lo.divergent:
             return _DIVERGENT
         return SeriesEval(-(hi.value - lo.value), hi.tail_bound + lo.tail_bound,
@@ -284,8 +269,8 @@ def dsigma_dZ(which: str, params: ModelParams, beta: float, Z: float,
     if which == "S3":
         W = Z - wing_pressure(params, beta)
         s = params.epsilon * beta
-        hi = tail_sum(s - 1.0, W, tol, cap)
-        lo = tail_sum(s, W, tol, cap)
+        hi = tail_sum(s - 1.0, W, tol)
+        lo = tail_sum(s, W, tol)
         if hi.divergent or lo.divergent:
             return _DIVERGENT
         pref = _wing_prefactor(params, beta)

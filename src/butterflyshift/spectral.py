@@ -57,7 +57,7 @@ class AbscissaReport:
 def lambda_1(params: ModelParams, beta: float, Z: float,
              tol: float = DEFAULT_TOL) -> SpectralValue:
     """Spectral radius of the operator induced on the cylinder [1]."""
-    s1 = sigma1(params, beta, Z, tol=tol)
+    s1 = sigma1(params, beta, Z)
     s2 = sigma2(params, beta, Z, tol=tol)
     s3 = sigma3(params, beta, Z, tol=tol)
     m = wing_multiplicity(params)
@@ -89,15 +89,19 @@ def lambda_32(params: ModelParams, beta: float, Z: float,
     return SpectralValue(z / (1.0 - z), True, s1, s2, s3)
 
 
-def composition_value_at_floor(params: ModelParams, beta: float,
-                               tol: float = DEFAULT_TOL) -> float:
-    """m * Sigma2 * Sigma3 evaluated at Z = P34(beta) (+inf when divergent)."""
-    z0 = wing_pressure(params, beta)
-    s2 = sigma2(params, beta, z0, tol=tol)
-    s3 = sigma3(params, beta, z0, tol=tol)
+def _composition(params: ModelParams, beta: float, Z: float, tol: float) -> float:
+    """m * Sigma2 * Sigma3 at (beta, Z), +inf when a series diverges."""
+    s2 = sigma2(params, beta, Z, tol=tol)
+    s3 = sigma3(params, beta, Z, tol=tol)
     if s2.divergent or s3.divergent:
         return math.inf
     return wing_multiplicity(params) * s2.value * s3.value
+
+
+def composition_value_at_floor(params: ModelParams, beta: float,
+                               tol: float = DEFAULT_TOL) -> float:
+    """m * Sigma2 * Sigma3 evaluated at Z = P34(beta) (+inf when divergent)."""
+    return _composition(params, beta, wing_pressure(params, beta), tol)
 
 
 def composition_boundary(params: ModelParams, beta: float,
@@ -112,15 +116,8 @@ def composition_boundary(params: ModelParams, beta: float,
     if composition_value_at_floor(params, beta, tol) <= 1.0 + 1e-11:
         return None
     z0 = wing_pressure(params, beta)
-
-    def f(w: float) -> float:
-        s2 = sigma2(params, beta, z0 + w, tol=tol)
-        s3 = sigma3(params, beta, z0 + w, tol=tol)
-        if s2.divergent or s3.divergent:
-            return math.inf
-        return wing_multiplicity(params) * s2.value * s3.value - 1.0
-
-    return z0 + bisect_log_offset(f).offset
+    return z0 + bisect_log_offset(
+        lambda w: _composition(params, beta, z0 + w, tol) - 1.0).offset
 
 
 def abscissa(params: ModelParams, beta: float, tol: float = DEFAULT_TOL) -> AbscissaReport:

@@ -131,6 +131,13 @@ class TestOracleCmd:
         assert code == EXIT_ORACLE_FAIL
         assert "FAIL" in out
 
+    def test_malformed_corrupt_edge_exits_2(self, capsys):
+        # a mistyped negative control must not pass for one that failed
+        for edge in ("x:y", "4"):
+            code, _ = run(["oracle", "--config", CFG, "--corrupt-edge", edge])
+            assert code == EXIT_CONFIG
+            assert "--corrupt-edge" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_delta_sweep_monotone(self, tmp_path):
@@ -155,16 +162,3 @@ class TestSweep:
     def test_empty_values_exits_2(self):
         code, _ = run(["sweep", "--config", CFG, "--param", "L", "--values", ""])
         assert code == EXIT_CONFIG
-
-
-class TestThreadEnv:
-    def test_threaded_run_matches_serial(self, tmp_path, monkeypatch):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        code, _ = run(["curves", "--config", CFG, "--beta-stop", "0.3",
-                       "--beta-step", "0.1", "--out", str(a)])
-        assert code == EXIT_OK
-        monkeypatch.setenv("BUTTERFLYSHIFT_THREADS", "4")
-        code, _ = run(["curves", "--config", CFG, "--beta-stop", "0.3",
-                       "--beta-step", "0.1", "--out", str(b)])
-        assert code == EXIT_OK
-        assert a.read_bytes() == b.read_bytes()

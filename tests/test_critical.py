@@ -252,8 +252,12 @@ class TestEquilibria:
                 assert (not rep.weight_on_cylinder) or rep.return_time_derivative_finite
 
     def test_variant_b_two_states(self):
-        rep = equilibrium_report(PARAMS_B, "at_beta_hi")
-        assert rep.count_lower_bound == 2
+        hi = equilibrium_report(PARAMS_B, "at_beta_hi")
+        lo = equilibrium_report(PARAMS_B, "at_beta_lo")
+        assert hi.count_lower_bound == 2 and lo.count_lower_bound == 2
+        # at beta_2 the return time has infinite expectation, yet the two
+        # mirrored wing equilibria remain
+        assert not lo.return_time_derivative_finite
 
     def test_zeta_at_beta_lo(self):
         assert zeta_at_beta_lo(REFERENCE) > 5.0

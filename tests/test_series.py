@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from butterflyshift.model import ModelParams, REFERENCE, wing_pressure
 from butterflyshift.series import (
+    DEFAULT_TOL,
     dsigma_dZ,
     riemann_zeta,
     sigma1,
@@ -57,10 +58,18 @@ class TestSigma1:
     def test_closed_vs_summation(self):
         p = ModelParams(1.0, 0.5, 1.0, 1.0, L=3)
         beta, Z = 2.0, 0.5
-        closed = sigma1(p, beta, Z, mode="closed")
-        summed = sigma1(p, beta, Z, mode="sum")
-        assert summed.terms_used > 0
-        assert abs(closed.value - summed.value) <= max(summed.tail_bound, 1e-15)
+        closed = sigma1(p, beta, Z)
+        # explicit geometric summation; the tail after term n is term*r/(1-r)
+        r = p.L * math.exp(-p.alpha * beta - Z)
+        summed, term = 0.0, math.exp(-p.alpha * beta - Z)
+        for n in range(1, 1000):
+            summed += term
+            tail = term * r / (1.0 - r)
+            if tail <= DEFAULT_TOL:
+                break
+            term *= r
+        assert n > 1 and tail <= DEFAULT_TOL
+        assert abs(closed.value - summed) <= max(tail, 1e-15)
 
     def test_decreasing_in_Z(self):
         p = ModelParams(1.0, 0.5, 1.0, 1.0, L=2)
