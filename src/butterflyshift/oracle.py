@@ -1,21 +1,15 @@
 """Independent brute-force verifiers for the analytic formulas.
 
-Three return-word engines, in decreasing order of rawness:
-
-  * "literal": depth-first enumeration of actual words over the transition
-    graph, each weighted through the model's per-position potential.  Fully
-    independent of every closed form; exponential, so capped at small
-    horizons.  This is the ground truth the other engines are tested against.
-  * "dp": the same walk with weight-equivalent paths aggregated by
-    (symbol kind, current run length).  Exact, linear in the horizon, and
-    still driven edge-by-edge by the graph, so a corrupted edge set changes
-    its output; the acceptance suite runs this engine.
-  * "compressed": renewal convolution over (2-string, wing-block) run
-    lengths; shares the block counting with the analytic formula and exists
-    for deep-horizon confidence only.
+Return-word enumeration runs on one engine, "dp": a walk over the transition
+graph with weight-equivalent paths aggregated by (symbol kind, current run
+length).  It is exact, linear in the horizon, and driven edge-by-edge by the
+graph, so a corrupted edge set changes its output; the acceptance suite and
+the `oracle` command run it.  The test suite keeps the rawer reference
+engines it is checked against (literal word enumeration, run-length
+convolution, depth-first periodic-point enumeration).
 
 Plus wing-block counting against the closed form, incidence-matrix entropy,
-and periodic-orbit pressure estimates.
+and periodic-orbit pressure as the trace of a run-length transfer matrix.
 """
 
 from __future__ import annotations
@@ -28,16 +22,12 @@ import numpy as np
 from .model import (
     FOUR,
     FOUR_P,
-    INTO_ONE,
-    INTO_THREE_TWO,
     ModelParams,
     ONE,
     THREE,
     THREE_P,
     TransitionGraph,
     TWO,
-    Word,
-    birkhoff_weight,
     build_graph,
     is_aux,
     is_one_family,
@@ -48,21 +38,15 @@ from .spectral import (
     composition_boundary,
     lambda_1 as _lambda_1,
     lambda_32 as _lambda_32,
-    wing_multiplicity,
 )
 
 RAW_HORIZON_CAP = 30
-LITERAL_HORIZON_CAP = 14
+# the periodic-orbit transfer matrix has n * |alphabet| states (auxiliaries
+# lumped into one): n <= 14 keeps it under 100 states in variant B.  The cap
+# also bounds the accepted n_period range (3..14).
 PERIOD_CAP = 14
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 20000
-
-
-@dataclass(frozen=True)
-class ReturnWord:
-    word: Word
-    tau: int
-    weight: float
 
 
 @dataclass(frozen=True)
@@ -84,63 +68,6 @@ class OracleComparison:
     @property
     def consistent(self) -> bool:
         return -1e-10 <= self.gap <= self.certified_tail + 1e-10
-
-
-# ---------------------------------------------------------------------------
-# literal engine
-
-def return_words_to_1(graph: TransitionGraph, params: ModelParams, beta: float,
-                      Z: float, N: int) -> list[ReturnWord]:
-    """Every first-return word to [1] with tau <= N, explicitly, with weights."""
-    if N > LITERAL_HORIZON_CAP:
-        raise ValueError(f"literal enumeration capped at N={LITERAL_HORIZON_CAP}")
-    out: list[ReturnWord] = []
-
-    def rec(symbols: list[str]) -> None:
-        tau = len(symbols)
-        last = symbols[-1]
-        if graph.allowed(last, ONE):
-            w = Word(tuple(symbols), INTO_ONE)
-            out.append(ReturnWord(w, tau, birkhoff_weight(params, w, beta, Z)))
-        if tau == N:
-            return
-        for nxt in graph.successors(last):
-            if nxt != ONE:
-                rec(symbols + [nxt])
-
-    rec([ONE])
-    return out
-
-
-def return_words_to_32(graph: TransitionGraph, params: ModelParams, beta: float,
-                       Z: float, N: int) -> list[ReturnWord]:
-    """First-return words to [32] (inside the subsystem without the 1-family).
-
-    A word returns when the pattern 3,2 recurs; the return word therefore
-    ends just before that unprimed 3, and its trailing run lengths resolve
-    through the into_three_two continuation.
-    """
-    if N > LITERAL_HORIZON_CAP:
-        raise ValueError(f"literal enumeration capped at N={LITERAL_HORIZON_CAP}")
-    out: list[ReturnWord] = []
-
-    def rec(symbols: list[str]) -> None:
-        t = len(symbols)
-        last = symbols[-1]
-        for nxt in graph.successors(last):
-            if is_one_family(nxt):
-                continue
-            if last == THREE and nxt == TWO and t >= 2:
-                tau = t - 1
-                if tau <= N:
-                    w = Word(tuple(symbols[:-1]), INTO_THREE_TWO)
-                    out.append(ReturnWord(w, tau, birkhoff_weight(params, w, beta, Z)))
-                continue
-            if t <= N:
-                rec(symbols + [nxt])
-
-    rec([THREE, TWO])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -268,51 +195,6 @@ def dp_partial_returns_to_32(graph: TransitionGraph, params: ModelParams,
     return out
 
 
-# ---------------------------------------------------------------------------
-# compressed (run-length composition) engine
-
-def _block_weights(params: ModelParams, beta: float, Z: float, N: int) -> np.ndarray:
-    """blk[m] = (m+1)^(-eps*beta) * A_m * e^(-mZ) for one wing family.
-
-    A_m is the exact per-symbol block sum: e^(gamma*beta) for m = 1 and
-    e^(m*gamma*beta) (1+e^(delta*beta))^(m-2) for m >= 2.
-    """
-    eb = params.epsilon * beta
-    blk = np.zeros(N + 1)
-    log_g = params.gamma * beta
-    log_q = math.log(1.0 + math.exp(-abs(params.delta * beta))) + max(params.delta * beta, 0.0)
-    rate = log_g + log_q - Z  # per-symbol log growth for m >= 2
-    if N >= 1:
-        blk[1] = math.exp(log_g - Z - eb * math.log(2.0))
-    for m in range(2, N + 1):
-        blk[m] = math.exp(m * rate - 2.0 * log_q - eb * math.log(m + 1.0))
-    return blk
-
-
-def compressed_partial_returns_to_1(params: ModelParams, beta: float, Z: float,
-                                    N: int) -> list[float]:
-    """Per-tau return mass to [1] by convolving run-length weights (O(N^2))."""
-    m = wing_multiplicity(params)
-    two = np.zeros(N + 1)
-    for n in range(1, N + 1):
-        two[n] = (n + 1.0) ** (-beta) * math.exp(-n * Z)
-    exc = np.convolve(m * _block_weights(params, beta, Z, N), two)[: N + 1]
-    # chain = two + chain * exc  (renewal over excursion+2-string pairs)
-    chain = two.copy()
-    for t in range(2, N + 1):
-        chain[t] += float(np.dot(exc[1:t], chain[t - 1:0:-1]))
-    r1 = params.L * math.exp(-params.alpha * beta - Z)
-    w_one = math.exp(-params.alpha * beta - Z)
-    out = [0.0] * (N + 1)
-    aux_run = w_one
-    for tau in range(1, N + 1):
-        out[tau] = aux_run  # 1 followed by tau-1 auxiliaries
-        aux_run *= r1
-        if tau >= 2:
-            out[tau] += w_one * chain[tau - 1]
-    return out
-
-
 def _renewal_tail_bound(params: ModelParams, beta: float, Z: float, N: int,
                         z_floor: float, lam_of) -> float:
     """Bound on the mass of return words longer than N.
@@ -334,30 +216,21 @@ def _renewal_tail_bound(params: ModelParams, beta: float, Z: float, N: int,
 
 
 def enumerate_returns_to_1(params: ModelParams, beta: float, Z: float, N: int,
-                           graph: TransitionGraph | None = None,
-                           engine: str = "dp") -> OracleComparison:
+                           graph: TransitionGraph | None = None) -> OracleComparison:
     """Exhaustive first-return enumeration to [1] vs. the analytic lambda.
 
     The (beta, Z) point must lie strictly inside the convergence domain.
-    engine="dp" (default, N <= 30) walks the graph; "compressed" allows deep
-    horizons via run-length compression.
+    Runs on the graph-walk ("dp") engine, N <= 30.
     """
     if graph is None:
         graph = build_graph(params)
     rep = abscissa(params, beta)
     if Z <= rep.Z_c:
         raise ValueError(f"Z={Z} is not inside the convergence domain (Z_c={rep.Z_c})")
-    if engine == "dp":
-        if N > RAW_HORIZON_CAP:
-            raise ValueError(f"graph-walk enumeration capped at N={RAW_HORIZON_CAP}; "
-                             "use engine='compressed' for deeper horizons")
-        per_tau = dp_partial_returns_to_1(graph, params, beta, Z, N)
-        count = _count_returns_to_1(graph, params, N)
-    elif engine == "compressed":
-        per_tau = compressed_partial_returns_to_1(params, beta, Z, N)
-        count = -1
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    if N > RAW_HORIZON_CAP:
+        raise ValueError(f"graph-walk enumeration capped at N={RAW_HORIZON_CAP}")
+    per_tau = dp_partial_returns_to_1(graph, params, beta, Z, N)
+    count = _count_returns_to_1(graph, params, N)
     lam = _lambda_1(params, beta, Z)
     if not lam.defined:
         raise ValueError("lambda_1 undefined at the requested point")
@@ -474,66 +347,71 @@ def no_one_family(graph: TransitionGraph) -> tuple[str, ...]:
     return tuple(s for s in graph.alphabet if not is_one_family(s))
 
 
+def _state_potential(params: ModelParams, sym: str, d: int) -> float:
+    """phi at `sym` when its run-length distance is d (0: the run never ends).
+
+    The distance is to the next 2 for a symbol other than 2, and to the next
+    symbol that is not a 2 for a 2; an unbounded run has no logarithmic
+    correction.
+    """
+    if is_one_family(sym):
+        return -params.alpha
+    correction = math.log1p(1.0 / d) if d else 0.0
+    if sym == TWO:
+        return -correction
+    base = params.gamma + (params.delta if sym in (FOUR, FOUR_P) else 0.0)
+    return base - params.epsilon * correction
+
+
 def periodic_orbit_pressure(params: ModelParams, beta: float, n: int,
                             graph: TransitionGraph | None = None) -> float:
     """(1/n) log sum over admissible period-n points of exp(beta * S_n phi).
 
     Run lengths wrap around the period; a run that never terminates (the
-    all-2 cycle, wing-only cycles) uses the infinite-run convention of a
+    all-2 cycle, cycles without a 2) uses the infinite-run convention of a
     vanishing logarithmic correction.  Points, not orbits, are counted: every
     admissible cyclic n-tuple contributes once.
+
+    The sum is trace(M^n) for a transfer matrix M on states (symbol, d).  For
+    a symbol other than 2, d in 1..n-1 is the distance to the next 2 (counted
+    through any non-2 symbols, the 1-family included); for a 2 it is the
+    distance to the next symbol that is not a 2; d = 0 marks a run that never
+    ends.  Along each allowed edge, d > 1 steps to d - 1 in the same class
+    (2 or not 2), d = 1 enters the other class at any d' in 1..n-1, and d = 0
+    stays at d' = 0 in the same class.  A closed walk of length n therefore
+    fixes every distance of its cyclic word, and each period-n point has
+    exactly one such walk: the trace equals the sum over points.  Entering a
+    state multiplies by exp(beta * phi(symbol, d)); the weight-identical
+    auxiliary symbols are lumped into one state of multiplicity L.
     """
     if n > PERIOD_CAP:
         raise ValueError(f"periodic_orbit_pressure capped at n={PERIOD_CAP}")
     if graph is None:
         graph = build_graph(params)
-    # auxiliary symbols are weight-identical: enumerate one representative and
-    # multiply by L^(number of aux positions)
     rep = [s for s in graph.alphabet if not is_aux(s)]
     aux = next((s for s in graph.alphabet if is_aux(s)), None)
     if aux is not None:
         rep.append(aux)
-    L = params.L
-
-    def cycle_weight(w: list[str]) -> float:
-        s = 0.0
-        for i, c in enumerate(w):
-            if is_one_family(c):
-                s += -params.alpha
-            elif c == TWO:
-                for k in range(1, n + 1):
-                    if w[(i + k) % n] != TWO:
-                        s += -math.log1p(1.0 / k)
-                        break
-            else:
-                s += params.gamma + (params.delta if c in (FOUR, FOUR_P) else 0.0)
-                for k in range(1, n + 1):
-                    if w[(i + k) % n] == TWO:
-                        s += -params.epsilon * math.log1p(1.0 / k)
-                        break
-        mult = L ** sum(1 for c in w if is_aux(c))
-        return mult * math.exp(beta * s)
-
-    total = 0.0
-    stack: list[str] = []
-
-    def rec() -> None:
-        nonlocal total
-        if len(stack) == n:
-            if graph.allowed(stack[-1], stack[0]):
-                total += cycle_weight(stack)
-            return
-        for nxt in graph.successors(stack[-1]):
-            if is_aux(nxt) and nxt != aux:
+    index = {s: i for i, s in enumerate(rep)}
+    k = len(rep)
+    M = np.zeros((k, n, k, n))
+    for i, a in enumerate(rep):
+        for b in graph.successors(a):
+            j = index.get(b)
+            if j is None:  # an auxiliary lumped into `aux`
                 continue
-            stack.append(nxt)
-            rec()
-            stack.pop()
-
-    for s0 in rep:
-        stack = [s0]
-        rec()
-    return math.log(total) / n
+            if (a == TWO) == (b == TWO):
+                M[i, 0, j, 0] = 1.0
+                for d in range(2, n):
+                    M[i, d, j, d - 1] = 1.0
+            else:
+                M[i, 1:2, j, 1:] = 1.0  # a slice: at n = 1 there is no d = 1
+    weight = np.array([[(params.L if s == aux else 1.0)
+                        * math.exp(beta * _state_potential(params, s, d))
+                        for d in range(n)] for s in rep])
+    M *= weight  # over the last two axes: the state entered
+    M = M.reshape(k * n, k * n)
+    return math.log(float(np.trace(np.linalg.matrix_power(M, n)))) / n
 
 
 def richardson_orbit_pressure(params: ModelParams, beta: float, n: int,

@@ -1,0 +1,290 @@
+"""Reference engines the oracle module is tested against.
+
+Each computes a quantity that `butterflyshift.oracle` also computes, by a
+route that is slower or shares less with the fast code:
+
+  * literal return words: depth-first enumeration of actual words over the
+    transition graph, each weighted through the model's per-position
+    potential.  Fully independent of every closed form; exponential, so
+    capped at small horizons.  This is the ground truth for the "dp" engine.
+  * compressed returns to [1]: renewal convolution over (2-string,
+    wing-block) run lengths.  It shares the block counting with the analytic
+    formula and exists for deep-horizon confidence only.
+  * periodic points: depth-first enumeration of every admissible cyclic
+    n-tuple, each weighted from its own wrapped run lengths, as the reference
+    for the transfer-matrix trace; and that trace again in mpmath arithmetic.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import defaultdict
+from dataclasses import dataclass
+
+import numpy as np
+
+from butterflyshift.model import (
+    FOUR,
+    FOUR_P,
+    INTO_ONE,
+    INTO_THREE_TWO,
+    ModelParams,
+    ONE,
+    THREE,
+    TransitionGraph,
+    TWO,
+    Word,
+    birkhoff_weight,
+    is_aux,
+    is_one_family,
+)
+from butterflyshift.spectral import lambda_1, wing_multiplicity
+
+LITERAL_HORIZON_CAP = 14
+
+
+@dataclass(frozen=True)
+class ReturnWord:
+    word: Word
+    tau: int
+    weight: float
+
+
+# ---------------------------------------------------------------------------
+# literal engine
+
+def return_words_to_1(graph: TransitionGraph, params: ModelParams, beta: float,
+                      Z: float, N: int) -> list[ReturnWord]:
+    """Every first-return word to [1] with tau <= N, explicitly, with weights."""
+    if N > LITERAL_HORIZON_CAP:
+        raise ValueError(f"literal enumeration capped at N={LITERAL_HORIZON_CAP}")
+    out: list[ReturnWord] = []
+
+    def rec(symbols: list[str]) -> None:
+        tau = len(symbols)
+        last = symbols[-1]
+        if graph.allowed(last, ONE):
+            w = Word(tuple(symbols), INTO_ONE)
+            out.append(ReturnWord(w, tau, birkhoff_weight(params, w, beta, Z)))
+        if tau == N:
+            return
+        for nxt in graph.successors(last):
+            if nxt != ONE:
+                rec(symbols + [nxt])
+
+    rec([ONE])
+    return out
+
+
+def return_words_to_32(graph: TransitionGraph, params: ModelParams, beta: float,
+                       Z: float, N: int) -> list[ReturnWord]:
+    """First-return words to [32] (inside the subsystem without the 1-family).
+
+    A word returns when the pattern 3,2 recurs; the return word therefore
+    ends just before that unprimed 3, and its trailing run lengths resolve
+    through the into_three_two continuation.
+    """
+    if N > LITERAL_HORIZON_CAP:
+        raise ValueError(f"literal enumeration capped at N={LITERAL_HORIZON_CAP}")
+    out: list[ReturnWord] = []
+
+    def rec(symbols: list[str]) -> None:
+        t = len(symbols)
+        last = symbols[-1]
+        for nxt in graph.successors(last):
+            if is_one_family(nxt):
+                continue
+            if last == THREE and nxt == TWO and t >= 2:
+                tau = t - 1
+                if tau <= N:
+                    w = Word(tuple(symbols[:-1]), INTO_THREE_TWO)
+                    out.append(ReturnWord(w, tau, birkhoff_weight(params, w, beta, Z)))
+                continue
+            if t <= N:
+                rec(symbols + [nxt])
+
+    rec([THREE, TWO])
+    return out
+
+
+# ---------------------------------------------------------------------------
+# compressed (run-length composition) engine
+
+def _block_weights(params: ModelParams, beta: float, Z: float, N: int) -> np.ndarray:
+    """blk[m] = (m+1)^(-eps*beta) * A_m * e^(-mZ) for one wing family.
+
+    A_m is the exact per-symbol block sum: e^(gamma*beta) for m = 1 and
+    e^(m*gamma*beta) (1+e^(delta*beta))^(m-2) for m >= 2.
+    """
+    eb = params.epsilon * beta
+    blk = np.zeros(N + 1)
+    log_g = params.gamma * beta
+    log_q = math.log(1.0 + math.exp(-abs(params.delta * beta))) + max(params.delta * beta, 0.0)
+    rate = log_g + log_q - Z  # per-symbol log growth for m >= 2
+    if N >= 1:
+        blk[1] = math.exp(log_g - Z - eb * math.log(2.0))
+    for m in range(2, N + 1):
+        blk[m] = math.exp(m * rate - 2.0 * log_q - eb * math.log(m + 1.0))
+    return blk
+
+
+def compressed_partial_returns_to_1(params: ModelParams, beta: float, Z: float,
+                                    N: int) -> list[float]:
+    """Per-tau return mass to [1] by convolving run-length weights (O(N^2))."""
+    m = wing_multiplicity(params)
+    two = np.zeros(N + 1)
+    for n in range(1, N + 1):
+        two[n] = (n + 1.0) ** (-beta) * math.exp(-n * Z)
+    exc = np.convolve(m * _block_weights(params, beta, Z, N), two)[: N + 1]
+    # chain = two + chain * exc  (renewal over excursion+2-string pairs)
+    chain = two.copy()
+    for t in range(2, N + 1):
+        chain[t] += float(np.dot(exc[1:t], chain[t - 1:0:-1]))
+    r1 = params.L * math.exp(-params.alpha * beta - Z)
+    w_one = math.exp(-params.alpha * beta - Z)
+    out = [0.0] * (N + 1)
+    aux_run = w_one
+    for tau in range(1, N + 1):
+        out[tau] = aux_run  # 1 followed by tau-1 auxiliaries
+        aux_run *= r1
+        if tau >= 2:
+            out[tau] += w_one * chain[tau - 1]
+    return out
+
+
+def compressed_gap_returns_to_1(params: ModelParams, beta: float, Z: float,
+                                N: int) -> float:
+    """lambda_1 minus the compressed return mass up to tau = N (any depth)."""
+    lam = lambda_1(params, beta, Z)
+    if not lam.defined:
+        raise ValueError("lambda_1 undefined at the requested point")
+    return lam.value - math.fsum(compressed_partial_returns_to_1(params, beta, Z, N))
+
+
+# ---------------------------------------------------------------------------
+# periodic points
+
+def _lumped_alphabet(graph: TransitionGraph) -> tuple[list[str], str | None]:
+    """Non-auxiliary symbols plus the first auxiliary, which stands for all L."""
+    rep = [s for s in graph.alphabet if not is_aux(s)]
+    aux = next((s for s in graph.alphabet if is_aux(s)), None)
+    if aux is not None:
+        rep.append(aux)
+    return rep, aux
+
+
+def periodic_points(graph: TransitionGraph, n: int) -> list[tuple[str, ...]]:
+    """Every admissible cyclic n-tuple, depth-first; auxiliaries lumped into
+    the first one (each stands for L weight-identical points)."""
+    rep, aux = _lumped_alphabet(graph)
+    out: list[tuple[str, ...]] = []
+    stack: list[str] = []
+
+    def rec() -> None:
+        if len(stack) == n:
+            if graph.allowed(stack[-1], stack[0]):
+                out.append(tuple(stack))
+            return
+        for nxt in graph.successors(stack[-1]):
+            if is_aux(nxt) and nxt != aux:
+                continue
+            stack.append(nxt)
+            rec()
+            stack.pop()
+
+    for s0 in rep:
+        stack = [s0]
+        rec()
+    return out
+
+
+def cycle_birkhoff_sums(params: ModelParams, W: np.ndarray) -> np.ndarray:
+    """S_n phi of each periodic point (one row of W), from its own wrapped
+    run lengths.
+
+    A symbol other than 2 sees the distance to the next 2, a 2 the distance
+    to the next symbol that is not a 2, both read cyclically; a run that
+    never terminates (the all-2 cycle, cycles without a 2) has a vanishing
+    logarithmic correction.
+    """
+    n = W.shape[1]
+    two = W == TWO
+    one = np.isin(W, [s for s in np.unique(W) if is_one_family(s)])
+    wing = ~two & ~one
+
+    def distance(to: np.ndarray) -> np.ndarray:
+        d = np.zeros(W.shape, dtype=int)  # 0: never
+        for k in range(n, 0, -1):
+            d = np.where(np.roll(to, -k, axis=1), k, d)
+        return d
+
+    def correction(d: np.ndarray) -> np.ndarray:
+        return np.where(d > 0, np.log1p(1.0 / np.maximum(d, 1)), 0.0)
+
+    phi = np.where(one, -params.alpha, 0.0)
+    phi += np.where(two, -correction(distance(~two)), 0.0)
+    base = params.gamma + params.delta * np.isin(W, (FOUR, FOUR_P))
+    phi += np.where(wing, base - params.epsilon * correction(distance(two)), 0.0)
+    return phi.sum(axis=1)
+
+
+def periodic_point_sums(params: ModelParams, graph: TransitionGraph, n: int,
+                        betas) -> dict[float, float]:
+    """sum over period-n points of exp(beta * S_n phi), for each beta.
+
+    The points are enumerated once on the lumped alphabet, where each
+    auxiliary position carries a factor L.  Each sum is taken with math.fsum.
+    """
+    W = np.array(periodic_points(graph, n))
+    S = cycle_birkhoff_sums(params, W)
+    n_aux = np.isin(W, [s for s in graph.alphabet if is_aux(s)]).sum(axis=1)
+    mult = float(params.L) ** n_aux
+    return {beta: math.fsum(mult * np.exp(beta * S)) for beta in betas}
+
+
+def mp_periodic_orbit_pressure(params: ModelParams, beta: float, n: int,
+                               graph: TransitionGraph, dps: int = 40) -> float:
+    """The transfer-matrix trace (1/n) log trace(M^n), built again from the
+    state rules and evaluated in mpmath at `dps` digits."""
+    import mpmath
+
+    rep, aux = _lumped_alphabet(graph)
+
+    def steps(sym: str, d: int, nxt: str) -> list[tuple[str, int]]:
+        same = (sym == TWO) == (nxt == TWO)
+        if d == 0:
+            return [(nxt, 0)] if same else []
+        if d > 1:
+            return [(nxt, d - 1)] if same else []
+        return [] if same else [(nxt, e) for e in range(1, n)]
+
+    with mpmath.workdps(dps):
+        def weight(sym: str, d: int):
+            if is_one_family(sym):
+                phi = -mpmath.mpf(params.alpha)
+            else:
+                corr = mpmath.log1p(mpmath.mpf(1) / d) if d else mpmath.mpf(0)
+                if sym == TWO:
+                    phi = -corr
+                else:
+                    base = mpmath.mpf(params.gamma)
+                    if sym in (FOUR, FOUR_P):
+                        base += mpmath.mpf(params.delta)
+                    phi = base - mpmath.mpf(params.epsilon) * corr
+            return (params.L if sym == aux else 1) * mpmath.exp(mpmath.mpf(beta) * phi)
+
+        states = [(s, d) for s in rep for d in range(n)]
+        succ = {st: [(t, weight(*t)) for b in graph.successors(st[0]) if b in rep
+                     for t in steps(st[0], st[1], b)]
+                for st in states}
+        trace = mpmath.mpf(0)
+        for start in states:
+            vec = {start: mpmath.mpf(1)}
+            for _ in range(n):
+                nxt: dict = defaultdict(mpmath.mpf)
+                for st, v in vec.items():
+                    for t, w in succ[st]:
+                        nxt[t] += v * w
+                vec = nxt
+            trace += vec.get(start, 0)
+        return float(mpmath.log(trace) / n)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,20 +9,26 @@ from butterflyshift.critical import pressure_34, pressure_full, pressure_mid
 from butterflyshift.model import ModelParams, REFERENCE, TransitionGraph, build_graph
 from butterflyshift.oracle import (
     check_Ln,
-    compressed_partial_returns_to_1,
     dp_partial_returns_to_1,
     dp_partial_returns_to_32,
     enumerate_returns_to_1,
     enumerate_returns_to_32,
     incidence_entropy,
+    incidence_matrix,
     no_one_family,
     periodic_orbit_pressure,
-    return_words_to_1,
-    return_words_to_32,
     richardson_orbit_pressure,
 )
 
 from conftest import assert_close
+from reference_engines import (
+    compressed_gap_returns_to_1,
+    compressed_partial_returns_to_1,
+    mp_periodic_orbit_pressure,
+    periodic_point_sums,
+    return_words_to_1,
+    return_words_to_32,
+)
 
 PARAMS_B = ModelParams(1.0, 0.5, 1.0, 1.0, 1, "B")
 
@@ -105,8 +112,8 @@ class TestEnginesAgree:
 
     def test_compressed_deep_horizon_closes_gap(self):
         beta, Z = 0.5, pressure_full(REFERENCE, 0.5) + 0.25
-        cmp_deep = enumerate_returns_to_1(REFERENCE, beta, Z, 600, engine="compressed")
-        assert abs(cmp_deep.gap) < 1e-12  # fully converged up to float roundoff
+        gap_deep = compressed_gap_returns_to_1(REFERENCE, beta, Z, 600)
+        assert abs(gap_deep) < 1e-12  # fully converged up to float roundoff
 
 
 class TestReturnExamples:
@@ -201,7 +208,9 @@ class TestOracleComparisons:
         Z = pressure_full(REFERENCE, 0.5) + 0.3
         with pytest.raises(ValueError):
             enumerate_returns_to_1(REFERENCE, 0.5, Z, 31)
-        enumerate_returns_to_1(REFERENCE, 0.5, Z, 31, engine="compressed")
+        # past the cap the compressed reference still closes in on lambda_1
+        gap_31 = compressed_gap_returns_to_1(REFERENCE, 0.5, Z, 31)
+        assert 0.0 <= gap_31 < enumerate_returns_to_1(REFERENCE, 0.5, Z, 30).gap
 
     def test_negative_control_corrupted_edge(self):
         graph = build_graph(REFERENCE, extra_edges=[("4", "2")])
@@ -283,3 +292,41 @@ class TestPeriodicOrbits:
         expect = float(np.trace(M @ M))
         est = periodic_orbit_pressure(p3, 0.0, 2, graph=g)
         assert_close(math.exp(2 * est), expect, 1e-9)
+
+    @pytest.mark.parametrize("extra", [(), (("4", "2"),), (("4", "1"),),
+                                       (("3", "1"), ("1", "4"))],
+                             ids=["clean", "4:2", "4:1", "3:1+1:4"])
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    def test_trace_matches_enumeration(self, variant, extra):
+        # every period-n point enumerated and weighted from its own wrapped
+        # run lengths, against the transfer-matrix trace
+        betas = (0.0, 0.5, 1.1)
+        for L in (1, 3):
+            p = ModelParams(1.0, 0.5, 1.0, 1.0, L, variant)
+            g = build_graph(p, extra_edges=extra)
+            for n in range(2, 11):
+                sums = periodic_point_sums(p, g, n, betas)
+                for beta, expect in sums.items():
+                    got = math.exp(n * periodic_orbit_pressure(p, beta, n, graph=g))
+                    assert_close(got, expect, 1e-13 * expect, f"L={L} n={n} beta={beta}")
+
+    @pytest.mark.parametrize("params", [REFERENCE, PARAMS_B], ids=["A", "B"])
+    def test_trace_matches_mpmath_at_n12(self, params):
+        pytest.importorskip("mpmath")
+        g = build_graph(params)
+        expect = mp_periodic_orbit_pressure(params, 0.5, 12, g)
+        got = periodic_orbit_pressure(params, 0.5, 12, graph=g)
+        assert_close(got, expect, 1e-14 * abs(expect))
+
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    @pytest.mark.parametrize("L", [1, 7, 300])
+    def test_point_count_matches_incidence_trace(self, variant, L):
+        # at beta = 0 the trace counts period-n points on the full alphabet,
+        # every one of the L auxiliaries included
+        p = ModelParams(1.0, 0.5, 1.0, 1.0, L, variant)
+        g = build_graph(p)
+        A = incidence_matrix(g)
+        for n in (3, 8, 14):
+            expect = float(np.trace(np.linalg.matrix_power(A, n)))
+            got = math.exp(n * periodic_orbit_pressure(p, 0.0, n, graph=g))
+            assert_close(got, expect, 1e-12 * expect, f"n={n}")
