@@ -257,9 +257,9 @@ def cmd_oracle(cfg: RunConfig, corrupt_edge: str | None) -> int:
 
     crit = critical.critical_set(params, cfg.series_tol)
     betas = [0.25, 0.5] if crit.beta_hi > 0.6 else [0.5 * crit.beta_hi]
+    pressures = {b: critical.pressure_full(params, b, cfg.series_tol) for b in betas}
     for b in betas:
-        P = critical.pressure_full(params, b, cfg.series_tol)
-        Z = P + 0.2
+        Z = pressures[b] + 0.2
         cmp1 = oracle.enumerate_returns_to_1(params, b, Z, cfg.n_return, graph=graph)
         report(f"returns_to_1 beta={b:g}", cmp1.analytic, cmp1.enumerated_partial,
                cmp1.gap, cmp1.certified_tail, cmp1.consistent)
@@ -279,9 +279,9 @@ def cmd_oracle(cfg: RunConfig, corrupt_edge: str | None) -> int:
     report("entropy vs P_mid(0)", p_mid0, h_mid, p_mid0 - h_mid, 1e-8,
            abs(p_mid0 - h_mid) <= 1e-8)
 
-    b = 0.5 if crit.beta_hi > 0.6 else 0.5 * crit.beta_hi
+    b = betas[-1]  # 0.5, or half of beta_hi when that is below 0.6
     rich = oracle.richardson_orbit_pressure(params, b, cfg.n_period, graph=graph)
-    P = critical.pressure_full(params, b, cfg.series_tol)
+    P = pressures[b]
     report(f"periodic orbits beta={b:g}", P, rich, P - rich, 0.02, abs(P - rich) <= 0.02)
 
     if failures:

@@ -10,6 +10,10 @@ monotone maps:
 
 Both roots can sit exponentially close to their lower bracket (the zeta pole
 at eps*beta = 1, respectively beta_lo), hence the log-offset bisection.
+
+Below beta_hi the full pressure is the Z where lambda_[1] = 1, a decreasing
+convex sum of e^(-nZ); it is solved by safeguarded Newton steps in the same
+log-offset bracket, with the Z-derivative evaluated alongside the value.
 """
 
 from __future__ import annotations
@@ -19,9 +23,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .model import ModelParams, wing_pressure
-from .roots import bisect_log_offset
+from .roots import bisect_log_offset, newton_log_offset
 from .series import DEFAULT_TOL, dsigma_dZ, riemann_zeta
-from .spectral import composition_boundary, composition_value_at_floor, lambda_1
+from .spectral import (
+    composition_boundary,
+    composition_value_at_floor,
+    lambda_1,
+    lambda_1_dZ,
+)
 
 BELOW_LO = "below_lo"
 BETWEEN = "between"
@@ -148,8 +157,9 @@ def ztilde_c(params: ModelParams, beta: float, tol: float = DEFAULT_TOL) -> floa
 def pressure_full(params: ModelParams, beta: float, tol: float = DEFAULT_TOL) -> float:
     """Pressure of the full system.
 
-    Below beta_hi: the unique Z with lambda_[1] = 1, found by bisection on a
-    decreasing map (divergent evaluations count as above 1).  At and above
+    Below beta_hi: the unique Z with lambda_[1] = 1, found by safeguarded
+    Newton steps on the decreasing map and its Z-derivative (divergent
+    evaluations count as above 1, and are bisected past).  At and above
     beta_hi the pressure sticks to the wing pressure P34.
     """
     if beta < 0:
@@ -158,12 +168,7 @@ def pressure_full(params: ModelParams, beta: float, tol: float = DEFAULT_TOL) ->
     if beta >= crit.beta_hi:
         return wing_pressure(params, beta)
     z0 = max(wing_pressure(params, beta), math.log(params.L) - params.alpha * beta)
-
-    def f(w: float) -> float:
-        lam = lambda_1(params, beta, z0 + w, tol=tol)
-        return (lam.value if lam.defined else math.inf) - 1.0
-
-    return z0 + bisect_log_offset(f).offset
+    return z0 + newton_log_offset(lambda z: lambda_1_dZ(params, beta, z, tol), z0).offset
 
 
 def pressure_mid(params: ModelParams, beta: float, tol: float = DEFAULT_TOL) -> float:

@@ -293,22 +293,20 @@ def check_Ln(params: ModelParams, beta: float, n_max: int) -> list[tuple[int, fl
     the per-symbol weight sum against e^(n*beta*gamma) (1+e^(beta*delta))^(n-2).
 
     Exact for every n >= 2 (this pins the wing combinatorics and the
-    normalization of the block series).
+    normalization of the block series).  The length-n weights are built from
+    the length-(n-1) ones, one entry per word and no word counted by a
+    binomial shortcut.
     """
     if n_max > 20:
         raise ValueError("check_Ln capped at n_max=20")
     rows = []
     g, d = params.gamma, params.delta
+    e3, e4 = math.exp(beta * g), math.exp(beta * (g + d))
+    weights = np.array([e3 * e3])  # the word 3,3
     for n in range(2, n_max + 1):
-        mid = n - 2
-        ints = np.arange(1 << mid, dtype=np.int64)
-        # each bit pattern = one choice of 3/4 on the interior positions
-        ones = np.zeros(len(ints), dtype=np.int64)
-        v = ints.copy()
-        while v.any():
-            ones += v & 1
-            v >>= 1
-        weights = np.exp(beta * (n * g + d * ones.astype(float)))
+        if n > 2:
+            # each length-(n-1) word with a 3 or a 4 put in before its last 3
+            weights = np.concatenate([weights * e3, weights * e4])
         enumerated = float(weights.sum())
         closed = math.exp(n * beta * g) * (1.0 + math.exp(beta * d)) ** (n - 2)
         rows.append((n, enumerated, closed))
@@ -317,11 +315,10 @@ def check_Ln(params: ModelParams, beta: float, n_max: int) -> list[tuple[int, fl
 
 def incidence_matrix(graph: TransitionGraph, restrict_to=None) -> np.ndarray:
     syms = [s for s in graph.alphabet if restrict_to is None or s in restrict_to]
+    index = {s: i for i, s in enumerate(syms)}
     M = np.zeros((len(syms), len(syms)))
     for i, a in enumerate(syms):
-        for j, b in enumerate(syms):
-            if graph.allowed(a, b):
-                M[i, j] = 1.0
+        M[i, [index[b] for b in graph.successors(a) if b in index]] = 1.0
     return M
 
 

@@ -194,7 +194,7 @@ def sigma2(params: ModelParams, beta: float, Z: float,
     return tail_sum(beta, Z, tol)
 
 
-def _wing_prefactor(params: ModelParams, beta: float) -> float:
+def wing_prefactor(params: ModelParams, beta: float) -> float:
     """(1 + e^(delta*beta))^(-2), overflow-safe."""
     u = params.delta * beta
     if u > 350.0:
@@ -237,7 +237,7 @@ def sigma3(params: ModelParams, beta: float, Z: float,
     base = tail_sum(params.epsilon * beta, W, tol)
     if base.divergent:
         return _DIVERGENT
-    pref = _wing_prefactor(params, beta)
+    pref = wing_prefactor(params, beta)
     corr = single_block_correction(params, beta, Z)
     value = base.value * pref + corr
     return SeriesEval(value, base.tail_bound * pref + 4e-16 * abs(value),
@@ -273,7 +273,7 @@ def dsigma_dZ(which: str, params: ModelParams, beta: float, Z: float,
         lo = tail_sum(s, W, tol)
         if hi.divergent or lo.divergent:
             return _DIVERGENT
-        pref = _wing_prefactor(params, beta)
+        pref = wing_prefactor(params, beta)
         value = -pref * (hi.value - lo.value) - single_block_correction(params, beta, Z)
         return SeriesEval(value, pref * (hi.tail_bound + lo.tail_bound) + 4e-16 * abs(value),
                           max(hi.terms_used, lo.terms_used), False)

@@ -10,6 +10,10 @@ from the three series:
 
 with m = 1 for variant A and m = 2 for variant B (a 2-string can be followed
 by either wing family).
+
+The root solves for the pressure and the composition boundary take these
+maps with their Z-derivatives (every term of a series in e^(-nZ) gains a
+factor -n), evaluated together from four tail sums.
 """
 
 from __future__ import annotations
@@ -18,8 +22,18 @@ import math
 from dataclasses import dataclass
 
 from .model import ModelParams, wing_pressure
-from .roots import bisect_log_offset
-from .series import DEFAULT_TOL, SeriesEval, sigma1, sigma2, sigma3
+from .roots import newton_log_offset
+from .series import (
+    DEFAULT_TOL,
+    SeriesEval,
+    dsigma_dZ,
+    sigma1,
+    sigma2,
+    sigma3,
+    single_block_correction,
+    tail_sum,
+    wing_prefactor,
+)
 
 GEOMETRIC_ONE_FAMILY = "GeometricOneFamily"
 WING_COMPOSITION = "WingComposition"
@@ -89,6 +103,62 @@ def lambda_32(params: ModelParams, beta: float, Z: float,
     return SpectralValue(z / (1.0 - z), True, s1, s2, s3)
 
 
+def _wing_series_dZ(params: ModelParams, beta: float, Z: float,
+                    tol: float) -> tuple[float, float, float, float] | None:
+    """(Sigma2, dSigma2/dZ, Sigma3, dSigma3/dZ), or None if Sigma2 or Sigma3 diverges.
+
+    Four tail sums: the two series and the two s-1 sums of their derivatives,
+    since n (n+1)^(-s) = (n+1)^(1-s) - (n+1)^(-s).  A derivative series that
+    diverges (at W = 0 with s <= 2) gives a slope of -inf.
+    """
+    s2 = sigma2(params, beta, Z, tol=tol)
+    s3 = sigma3(params, beta, Z, tol=tol)
+    if s2.divergent or s3.divergent:
+        return None
+    t2 = tail_sum(beta - 1.0, Z, tol)
+    t3 = tail_sum(params.epsilon * beta - 1.0, Z - wing_pressure(params, beta), tol)
+    corr = single_block_correction(params, beta, Z)
+    # Sigma3 = pref * T(s, W) + corr, so d/dZ = -pref * (T(s-1, W) - T(s, W)) - corr
+    d2 = -math.inf if t2.divergent else s2.value - t2.value
+    d3 = (-math.inf if t3.divergent
+          else (s3.value - corr) - wing_prefactor(params, beta) * t3.value - corr)
+    return s2.value, d2, s3.value, d3
+
+
+def lambda_1_dZ(params: ModelParams, beta: float, Z: float,
+                tol: float = DEFAULT_TOL) -> tuple[float, float]:
+    """lambda_[1] at (beta, Z) and its Z-derivative, from four tail sums.
+
+    The value is that of `lambda_1`, or +inf where `lambda_1` is undefined
+    (the slope is then NaN).
+    """
+    s1 = sigma1(params, beta, Z)
+    if s1.divergent:
+        return math.inf, math.nan
+    wings = _wing_series_dZ(params, beta, Z, tol)
+    m = wing_multiplicity(params)
+    if wings is None or m * wings[0] * wings[2] >= 1.0:
+        return math.inf, math.nan
+    s2, d2, s3, d3 = wings
+    a = math.exp(-params.alpha * beta - Z)
+    den = 1.0 - m * s2 * s3
+    value = s1.value + (s2 * a / den)
+    slope = (dsigma_dZ("S1", params, beta, Z).value + a * (d2 - s2) / den
+             + s2 * a * m * (d2 * s3 + s2 * d3) / den ** 2)
+    return value, slope
+
+
+def composition_dZ(params: ModelParams, beta: float, Z: float,
+                   tol: float = DEFAULT_TOL) -> tuple[float, float]:
+    """m * Sigma2 * Sigma3 at (beta, Z) and its Z-derivative (+inf, NaN when divergent)."""
+    wings = _wing_series_dZ(params, beta, Z, tol)
+    if wings is None:
+        return math.inf, math.nan
+    s2, d2, s3, d3 = wings
+    m = wing_multiplicity(params)
+    return m * s2 * s3, m * (d2 * s3 + s2 * d3)
+
+
 def _composition(params: ModelParams, beta: float, Z: float, tol: float) -> float:
     """m * Sigma2 * Sigma3 at (beta, Z), +inf when a series diverges."""
     s2 = sigma2(params, beta, Z, tol=tol)
@@ -110,14 +180,15 @@ def composition_boundary(params: ModelParams, beta: float,
 
     The map is strictly decreasing in Z, +inf-or-large at the floor for small
     beta and below 1 there once beta passes the small transition; in the
-    second case None is returned.  A root closer to the floor than the solver
+    second case None is returned.  The root is solved by safeguarded Newton
+    steps on the map and its Z-derivative.  A root closer to the floor than the solver
     can resolve (floor value within 1e-11 of 1) also counts as absent.
     """
     if composition_value_at_floor(params, beta, tol) <= 1.0 + 1e-11:
         return None
     z0 = wing_pressure(params, beta)
-    return z0 + bisect_log_offset(
-        lambda w: _composition(params, beta, z0 + w, tol) - 1.0).offset
+    return z0 + newton_log_offset(
+        lambda z: composition_dZ(params, beta, z, tol), z0).offset
 
 
 def abscissa(params: ModelParams, beta: float, tol: float = DEFAULT_TOL) -> AbscissaReport:

@@ -59,6 +59,17 @@ class TestCheckLn:
         with pytest.raises(ValueError):
             check_Ln(REFERENCE, 1.0, 21)
 
+    def test_matches_word_by_word_weights(self):
+        # reference: one exp per word, from the popcount of its interior 3/4
+        # pattern; the weights are now products of per-symbol factors, so the
+        # sums may differ by rounding (about 2e-16 per factor, 20 factors)
+        for p, beta in [(REFERENCE, 1.0), (ModelParams(1.0, 0.2, 3.0, 0.7), 0.6),
+                        (ModelParams(2.0, 1.5, 0.4, 2.0), 1.7)]:
+            for n, enum, _ in check_Ln(p, beta, 16):
+                ones = np.array([bin(i).count("1") for i in range(1 << (n - 2))], dtype=float)
+                ref = math.fsum(np.exp(beta * (n * p.gamma + p.delta * ones)))
+                assert abs(enum - ref) <= 1e-13 * ref, (p, n)
+
     def test_row_count_at_full_horizon(self):
         rows = check_Ln(REFERENCE, 1.0, 20)
         assert len(rows) == 19  # n = 2..20
@@ -254,6 +265,16 @@ class TestIncidenceEntropy:
         h_a = incidence_entropy(build_graph(REFERENCE))
         h_b = incidence_entropy(build_graph(PARAMS_B))
         assert h_b > h_a + 0.01
+
+    def test_matrix_matches_allowed(self):
+        for params, extra in [(REFERENCE, []), (PARAMS_B, [("4", "2")]),
+                              (ModelParams(1.0, 0.5, 1.0, 1.0, L=7), [("4", "1")])]:
+            graph = build_graph(params, extra_edges=extra)
+            for restrict in (None, no_one_family(graph)):
+                syms = [s for s in graph.alphabet if restrict is None or s in restrict]
+                ref = np.array([[1.0 if graph.allowed(a, b) else 0.0 for b in syms]
+                                for a in syms])
+                assert np.array_equal(incidence_matrix(graph, restrict), ref)
 
 
 class TestPeriodicOrbits:
