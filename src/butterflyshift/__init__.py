@@ -23,7 +23,7 @@ from .critical import (
     pressure_sample,
     ztilde_c,
 )
-from .model import ModelParams, REFERENCE, TransitionGraph, Word, build_graph
+from .model import ModelParams, REFERENCE, TransitionGraph, build_graph
 from .oracle import (
     OracleComparison,
     check_Ln,
@@ -49,7 +49,6 @@ __all__ = [
     "SeriesEval",
     "SpectralValue",
     "TransitionGraph",
-    "Word",
     "abscissa",
     "beta_hi",
     "beta_lo",

@@ -113,12 +113,19 @@ def _critical_set_cached(params: ModelParams, tol: float) -> CriticalSet:
         return (lam.value if lam.defined else math.inf) - 1.0
 
     hi = bisect_log_offset(f_hi, hi0=max(1.0, b_lo))
-    b_hi = b_lo + hi.offset
+    v_hi, residual_hi = hi.offset, hi.residual
+    if residual_hi == math.inf:
+        # the root lies within an ulp or two of beta_lo, and beta_lo plus the
+        # bracket midpoint rounds onto a beta where lambda_1 still diverges:
+        # take the upper bracket end instead, where f <= 0
+        v_hi = hi.bracket[1]
+        residual_hi = f_hi(v_hi)
+    b_hi = b_lo + v_hi
     return CriticalSet(
         beta_lo=b_lo,
         beta_hi=b_hi,
         residual_lo=lo.residual,
-        residual_hi=hi.residual,
+        residual_hi=residual_hi,
         bracket_lo=((1.0 + lo.bracket[0]) / eps, (1.0 + lo.bracket[1]) / eps),
         bracket_hi=(b_lo + hi.bracket[0], b_lo + hi.bracket[1]),
     )

@@ -2,10 +2,9 @@
 
 The systems are one-sided subshifts on the alphabet {1, 2, 3, 4, 1_1..1_L}
 (variant A) or the same plus the mirrored wing symbols {3', 4'} (variant B).
-The potential is a grid function: it depends on the head symbol and on the
-length of the homogeneous run the head symbol sits in, so it can be evaluated
-exactly on a finite word once the word declares which cylinder its infinite
-suffix enters.
+A transition graph is a boolean adjacency matrix over that alphabet.  The
+potential is a grid function: it depends on the head symbol and on the length
+of the homogeneous run the head symbol sits in.
 """
 
 from __future__ import annotations
@@ -14,24 +13,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 ONE = "1"
 TWO = "2"
 THREE = "3"
 FOUR = "4"
 THREE_P = "3'"
 FOUR_P = "4'"
-
-# continuation tags: which cylinder the infinite suffix of a finite word enters
-INTO_ONE = "into_one"            # suffix starts 1...
-INTO_THREE_TWO = "into_three_two"  # suffix starts 3,2,...
-ALL_TWOS = "all_twos"            # suffix is 2,2,2,...
-STAY_IN_WING = "stay_in_wing"    # suffix never meets a 2 (wing symbols forever)
-
-CONTINUATIONS = (INTO_ONE, INTO_THREE_TWO, ALL_TWOS, STAY_IN_WING)
-
-
-class LookaheadError(ValueError):
-    """Run-length lookahead cannot be resolved from the word plus its continuation."""
 
 
 def aux_symbol(i: int) -> str:
@@ -44,22 +33,6 @@ def is_aux(sym: str) -> bool:
 
 def is_one_family(sym: str) -> bool:
     return sym == ONE or is_aux(sym)
-
-
-def is_wing(sym: str) -> bool:
-    return sym in (THREE, FOUR, THREE_P, FOUR_P)
-
-
-def is_primed(sym: str) -> bool:
-    return sym in (THREE_P, FOUR_P)
-
-
-_MIRROR = {THREE: THREE_P, THREE_P: THREE, FOUR: FOUR_P, FOUR_P: FOUR}
-
-
-def mirror_symbol(sym: str) -> str:
-    """Swap 3<->3' and 4<->4'; other symbols are fixed."""
-    return _MIRROR.get(sym, sym)
 
 
 @dataclass(frozen=True)
@@ -97,33 +70,58 @@ REFERENCE = ModelParams(alpha=1.0, gamma=0.5, delta=1.0, epsilon=1.0, L=1, varia
 
 
 class TransitionGraph:
-    """Directed graph of allowed one-step transitions on the full alphabet."""
+    """Directed graph of allowed one-step transitions on the full alphabet.
 
-    def __init__(self, alphabet: Sequence[str], edges: Iterable[tuple[str, str]]):
+    The graph is a boolean adjacency matrix over the alphabet, rows indexed by
+    the source symbol.  Successor tuples (in alphabet order) and the edge set
+    are derived from it on first use.
+    """
+
+    def __init__(self, alphabet: Sequence[str], edges: Iterable[tuple[str, str]] = (),
+                 adjacency: np.ndarray | None = None):
+        """The graph whose allowed edges are those of `adjacency` (a boolean
+        matrix over the alphabet; none if omitted) plus `edges`."""
         self._alphabet = tuple(alphabet)
-        aset = set(self._alphabet)
-        self._edges = frozenset(edges)
-        for a, b in self._edges:
-            if a not in aset or b not in aset:
-                raise ValueError(f"edge ({a!r}, {b!r}) uses a symbol outside the alphabet")
-        succ: dict[str, tuple[str, ...]] = {}
-        for s in self._alphabet:
-            succ[s] = tuple(t for t in self._alphabet if (s, t) in self._edges)
-        self._succ = succ
+        self._index = {s: i for i, s in enumerate(self._alphabet)}
+        k = len(self._alphabet)
+        if adjacency is None:
+            adjacency = np.zeros((k, k), dtype=bool)
+        self._adj = np.array(adjacency, dtype=bool)
+        if self._adj.shape != (k, k):
+            raise ValueError(f"adjacency of shape {self._adj.shape} over {k} symbols")
+        for a, b in edges:
+            self._adj[_position(self._index, a, b)] = True
+        self._adj.flags.writeable = False
+        self._succ: dict[str, tuple[str, ...]] = {}
+        self._edges: frozenset[tuple[str, str]] | None = None
 
     @property
     def alphabet(self) -> tuple[str, ...]:
         return self._alphabet
 
     @property
+    def adjacency(self) -> np.ndarray:
+        """The read-only boolean adjacency matrix, in alphabet order."""
+        return self._adj
+
+    @property
     def edges(self) -> frozenset[tuple[str, str]]:
+        if self._edges is None:
+            a = self._alphabet
+            rows, cols = np.nonzero(self._adj)
+            self._edges = frozenset((a[i], a[j]) for i, j in zip(rows.tolist(), cols.tolist()))
         return self._edges
 
     def allowed(self, a: str, b: str) -> bool:
-        return (a, b) in self._edges
+        i, j = self._index.get(a), self._index.get(b)
+        return i is not None and j is not None and bool(self._adj[i, j])
 
     def successors(self, a: str) -> tuple[str, ...]:
-        return self._succ[a]
+        succ = self._succ.get(a)
+        if succ is None:
+            row = self._adj[self._index[a]]
+            succ = self._succ[a] = tuple(self._alphabet[j] for j in np.flatnonzero(row).tolist())
+        return succ
 
     def is_irreducible(self) -> bool:
         """Every symbol reaches every other symbol through allowed edges."""
@@ -131,7 +129,7 @@ class TransitionGraph:
             seen = {start}
             stack = [start]
             while stack:
-                for t in self._succ[stack.pop()]:
+                for t in self.successors(stack.pop()):
                     if t not in seen:
                         seen.add(t)
                         stack.append(t)
@@ -140,11 +138,29 @@ class TransitionGraph:
         return True
 
 
+def _position(index: dict[str, int], a: str, b: str) -> tuple[int, int]:
+    """Matrix position of the edge (a, b); ValueError if a symbol is unknown."""
+    try:
+        return index[a], index[b]
+    except KeyError:
+        raise ValueError(f"edge ({a!r}, {b!r}) uses a symbol outside the alphabet") from None
+
+
 def alphabet_for(params: ModelParams) -> tuple[str, ...]:
     base = [ONE, TWO, THREE, FOUR]
     if params.variant == "B":
         base += [THREE_P, FOUR_P]
     return tuple(base + [aux_symbol(i) for i in range(1, params.L + 1)])
+
+
+# the body and the unprimed wing, and the mirrored wing of variant B
+_BODY_EDGES = ((ONE, ONE), (ONE, TWO),
+               (TWO, ONE), (TWO, TWO), (TWO, THREE),
+               (THREE, TWO), (THREE, THREE), (THREE, FOUR),
+               (FOUR, THREE), (FOUR, FOUR))
+_MIRRORED_WING_EDGES = ((TWO, THREE_P),
+                        (THREE_P, TWO), (THREE_P, THREE_P), (THREE_P, FOUR_P),
+                        (FOUR_P, THREE_P), (FOUR_P, FOUR_P))
 
 
 def build_graph(
@@ -155,147 +171,27 @@ def build_graph(
     """Butterfly graph of the given variant.
 
     `extra_edges` / `drop_edges` exist as test hooks (negative controls that
-    corrupt the edge set on purpose); production callers pass neither.
+    corrupt the edge set on purpose); production callers pass neither.  An
+    extra edge on a symbol outside the alphabet raises ValueError; a dropped
+    edge that is not there is ignored.
     """
-    auxes = [aux_symbol(i) for i in range(1, params.L + 1)]
-    edges: set[tuple[str, str]] = set()
-    # head: 1 and the auxiliaries form a full shift on L+1 symbols, but only 1
-    # opens the door to the body
-    edges.add((ONE, ONE))
-    edges.add((ONE, TWO))
-    for a in auxes:
-        edges.add((ONE, a))
-        edges.add((a, ONE))
-        for b in auxes:
-            edges.add((a, b))
-    # body and unprimed wing
-    edges.update({(TWO, ONE), (TWO, TWO), (TWO, THREE)})
-    edges.update({(THREE, TWO), (THREE, THREE), (THREE, FOUR)})
-    edges.update({(FOUR, THREE), (FOUR, FOUR)})
-    if params.variant == "B":
-        edges.add((TWO, THREE_P))
-        edges.update({(THREE_P, TWO), (THREE_P, THREE_P), (THREE_P, FOUR_P)})
-        edges.update({(FOUR_P, THREE_P), (FOUR_P, FOUR_P)})
-    edges.update(extra_edges)
-    edges.difference_update(drop_edges)
-    return TransitionGraph(alphabet_for(params), edges)
-
-
-def is_admissible(graph: TransitionGraph, symbols: Sequence[str]) -> bool:
-    """True iff every adjacent pair of symbols is an allowed edge."""
-    return all(graph.allowed(a, b) for a, b in zip(symbols, symbols[1:]))
-
-
-@dataclass(frozen=True)
-class Word:
-    """Finite admissible word together with the cylinder class of its suffix.
-
-    The continuation tag is what makes run-length lookahead at the right edge
-    of the word well defined: return-word enumeration always knows which
-    cylinder it re-enters, so no infinite words are ever needed.
-    """
-
-    symbols: tuple[str, ...]
-    continuation: str
-
-    def __post_init__(self) -> None:
-        if not self.symbols:
-            raise ValueError("empty word")
-        if self.continuation not in CONTINUATIONS:
-            raise ValueError(f"unknown continuation {self.continuation!r}")
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-
-def continuation_consistent(graph: TransitionGraph, word: Word) -> bool:
-    """Does the declared suffix class attach admissibly to the last symbol?"""
-    last = word.symbols[-1]
-    if word.continuation == INTO_ONE:
-        return graph.allowed(last, ONE)
-    if word.continuation == INTO_THREE_TWO:
-        return graph.allowed(last, THREE)
-    if word.continuation == ALL_TWOS:
-        return graph.allowed(last, TWO)
-    return any(graph.allowed(last, w) for w in (THREE, FOUR, THREE_P, FOUR_P)
-               if w in graph.alphabet)
-
-
-def mirror_word(word: Word) -> Word:
-    return Word(tuple(mirror_symbol(s) for s in word.symbols), word.continuation)
-
-
-def _log_ratio(dist: int) -> float:
-    # log((n+1)/n) for run distance n
-    return math.log1p(1.0 / dist)
-
-
-def phi_at(params: ModelParams, word: Word, position: int) -> float:
-    """Potential at one position of a finite word.
-
-    Values:
-      * -alpha on the 1-family;
-      * -log((n+1)/n) on a 2 whose distance to the first non-2 is n;
-      * gamma - epsilon*log((n+1)/n) on 3/3' and gamma + delta - (same
-        correction) on 4/4', with n the distance to the next 2;
-      * when that distance is infinite the logarithmic correction is 0.
-
-    Distances are resolved inside the word when possible and through the
-    declared continuation otherwise.
-    """
-    n = len(word.symbols)
-    if not 0 <= position < n:
-        raise IndexError(position)
-    sym = word.symbols[position]
-    if is_one_family(sym):
-        return -params.alpha
-
-    if sym == TWO:
-        dist = None
-        for j in range(position + 1, n):
-            if word.symbols[j] != TWO:
-                dist = j - position
-                break
-        if dist is None:
-            if word.continuation == ALL_TWOS:
-                return 0.0  # infinite run: -log((n+1)/n) -> 0
-            # INTO_ONE, INTO_THREE_TWO, STAY_IN_WING all start with a non-2
-            dist = n - position
-        return -_log_ratio(dist)
-
-    if is_wing(sym):
-        base = params.gamma + (params.delta if sym in (FOUR, FOUR_P) else 0.0)
-        dist = None
-        for j in range(position + 1, n):
-            if word.symbols[j] == TWO:
-                dist = j - position
-                break
-        if dist is None:
-            if word.continuation == STAY_IN_WING:
-                return base  # never meets a 2: correction vanishes
-            if word.continuation == ALL_TWOS:
-                dist = n - position
-            elif word.continuation == INTO_THREE_TWO:
-                dist = n + 1 - position  # suffix is 3,2,...: the 2 sits one past the 3
-            else:
-                raise LookaheadError(
-                    f"wing symbol at position {position} cannot be followed by the "
-                    f"{word.continuation!r} suffix"
-                )
-        return base - params.epsilon * _log_ratio(dist)
-
-    raise ValueError(f"unknown symbol {sym!r}")
-
-
-def birkhoff_sum(params: ModelParams, word: Word) -> float:
-    """Sum of phi over all positions of the word."""
-    return math.fsum(phi_at(params, word, i) for i in range(len(word.symbols)))
-
-
-def birkhoff_weight(params: ModelParams, word: Word, beta: float, Z: float) -> float:
-    """exp(beta * S_tau(phi) - Z * tau) with tau = len(word); strictly positive."""
-    tau = len(word.symbols)
-    return math.exp(beta * birkhoff_sum(params, word) - Z * tau)
+    alphabet = alphabet_for(params)
+    index = {s: i for i, s in enumerate(alphabet)}
+    k = len(alphabet)
+    adj = np.zeros((k, k), dtype=bool)
+    # head: 1 and the auxiliaries (the last L symbols) form a full shift on
+    # L+1 symbols, but only 1 opens the door to the body
+    one, aux = index[ONE], slice(k - params.L, k)
+    adj[aux, aux] = True
+    adj[one, aux] = True
+    adj[aux, one] = True
+    edges = _BODY_EDGES + (_MIRRORED_WING_EDGES if params.variant == "B" else ())
+    for a, b in (*edges, *extra_edges):
+        adj[_position(index, a, b)] = True
+    for a, b in drop_edges:
+        if a in index and b in index:
+            adj[index[a], index[b]] = False
+    return TransitionGraph(alphabet, adjacency=adj)
 
 
 def wing_pressure(params: ModelParams, beta: float) -> float:

@@ -83,19 +83,29 @@ def _wing_family(sym: str) -> tuple[str, str]:
     return (THREE, FOUR) if sym in (THREE, FOUR) else (THREE_P, FOUR_P)
 
 
+def _two_step_flags(graph: TransitionGraph) -> tuple[bool, bool, tuple[str, ...]]:
+    """allowed(2, 1), allowed(2, 2), and the wing entries 3 / 3' a 2 may step to."""
+    return (graph.allowed(TWO, ONE), graph.allowed(TWO, TWO),
+            tuple(w for w in (THREE, THREE_P) if graph.allowed(TWO, w)))
+
+
 def dp_partial_returns_to_1(graph: TransitionGraph, params: ModelParams,
                             beta: float, Z: float, N: int) -> list[float]:
     """Per-tau first-return mass to [1]; exact aggregation of the literal walk.
 
     State = (kind, current run length); the stored mass carries the weight
     the paths would have if their current run closed right here, so each
-    edge multiplies by an exact incremental potential factor.
+    edge multiplies by an exact incremental potential factor.  The auxiliary
+    symbols share one state, stepped through the first of them.
     """
     eZ = math.exp(-Z)
     w_one, w3, w4 = _weights(params, beta)
     eb = params.epsilon * beta
-    succ_one = graph.successors(ONE)
-    n_aux = sum(1 for s in succ_one if is_aux(s))
+    n_aux = sum(1 for s in graph.successors(ONE) if is_aux(s))
+    aux = next((s for s in graph.alphabet if is_aux(s)), None)
+    aux_to_one = aux is not None and graph.allowed(aux, ONE)
+    n_a = 0 if aux is None else sum(1 for s in graph.successors(aux) if is_aux(s))
+    two_to_one, two_to_two, two_to_wings = _two_step_flags(graph)
     out = [0.0] * (N + 1)
     start = w_one * eZ
     if graph.allowed(ONE, ONE):
@@ -114,21 +124,18 @@ def dp_partial_returns_to_1(graph: TransitionGraph, params: ModelParams,
         for state, v in cur.items():
             kind = state[0]
             if kind == "aux":
-                a = next(s for s in graph.alphabet if is_aux(s))
-                if graph.allowed(a, ONE):
+                if aux_to_one:
                     out[tau] += v
-                n_a = sum(1 for s in graph.successors(a) if is_aux(s))
                 if n_a:
                     put(("aux",), v * n_a * w_one * eZ)
             elif kind == "two":
                 n = state[1]
-                if graph.allowed(TWO, ONE):
+                if two_to_one:
                     out[tau] += v
-                if graph.allowed(TWO, TWO):
+                if two_to_two:
                     put(("two", n + 1), v * ((n + 2.0) / (n + 1.0)) ** (-beta) * eZ)
-                for wsym in (THREE, THREE_P):
-                    if wsym in graph.alphabet and graph.allowed(TWO, wsym):
-                        put(("wing", 1, wsym), v * w3 * 2.0 ** (-eb) * eZ)
+                for wsym in two_to_wings:
+                    put(("wing", 1, wsym), v * w3 * 2.0 ** (-eb) * eZ)
             else:
                 m, sym = state[1], state[2]
                 lo, hi = _wing_family(sym)
@@ -156,6 +163,7 @@ def dp_partial_returns_to_32(graph: TransitionGraph, params: ModelParams,
     eZ = math.exp(-Z)
     _, w3, w4 = _weights(params, beta)
     eb = params.epsilon * beta
+    _, two_to_two, two_to_wings = _two_step_flags(graph)
     out = [0.0] * (N + 1)
     finalize = math.exp(-params.gamma * beta) * 2.0 ** eb * math.exp(Z)
     cur: dict[tuple, float] = {}
@@ -171,11 +179,10 @@ def dp_partial_returns_to_32(graph: TransitionGraph, params: ModelParams,
         for state, v in cur.items():
             if state[0] == "two":
                 n = state[1]
-                if graph.allowed(TWO, TWO):
+                if two_to_two:
                     put(("two", n + 1), v * ((n + 2.0) / (n + 1.0)) ** (-beta) * eZ)
-                for wsym in (THREE, THREE_P):
-                    if wsym in graph.alphabet and graph.allowed(TWO, wsym):
-                        put(("wing", 1, wsym), v * w3 * 2.0 ** (-eb) * eZ)
+                for wsym in two_to_wings:
+                    put(("wing", 1, wsym), v * w3 * 2.0 ** (-eb) * eZ)
             else:
                 m, sym = state[1], state[2]
                 lo, hi = _wing_family(sym)
@@ -314,12 +321,11 @@ def check_Ln(params: ModelParams, beta: float, n_max: int) -> list[tuple[int, fl
 
 
 def incidence_matrix(graph: TransitionGraph, restrict_to=None) -> np.ndarray:
-    syms = [s for s in graph.alphabet if restrict_to is None or s in restrict_to]
-    index = {s: i for i, s in enumerate(syms)}
-    M = np.zeros((len(syms), len(syms)))
-    for i, a in enumerate(syms):
-        M[i, [index[b] for b in graph.successors(a) if b in index]] = 1.0
-    return M
+    """The 0/1 adjacency matrix (as floats), on the symbols of `restrict_to`
+    if given, in alphabet order."""
+    keep = None if restrict_to is None else set(restrict_to)
+    sel = [i for i, s in enumerate(graph.alphabet) if keep is None or s in keep]
+    return graph.adjacency[np.ix_(sel, sel)].astype(float)
 
 
 def incidence_entropy(graph: TransitionGraph, restrict_to=None) -> float:

@@ -3,18 +3,9 @@ import random
 
 import pytest
 
-from butterflyshift.model import (
-    ModelParams,
-    REFERENCE,
-    TWO,
-    Word,
-    build_graph,
-    INTO_ONE,
-    INTO_THREE_TWO,
-    ALL_TWOS,
-    STAY_IN_WING,
-    ONE,
-)
+from butterflyshift.model import ModelParams, ONE, REFERENCE, TWO, build_graph
+
+from reference_engines import ALL_TWOS, INTO_ONE, INTO_THREE_TWO, STAY_IN_WING, Word
 
 
 @pytest.fixture

@@ -4,8 +4,8 @@ Each computes a quantity that `butterflyshift.oracle` also computes, by a
 route that is slower or shares less with the fast code:
 
   * literal return words: depth-first enumeration of actual words over the
-    transition graph, each weighted through the model's per-position
-    potential.  Fully independent of every closed form; exponential, so
+    transition graph, each weighted through the per-position potential
+    `phi_at` below.  Fully independent of every closed form; exponential, so
     capped at small horizons.  This is the ground truth for the "dp" engine.
   * compressed returns to [1]: renewal convolution over (2-string,
     wing-block) run lengths.  It shares the block counting with the analytic
@@ -13,6 +13,11 @@ route that is slower or shares less with the fast code:
   * periodic points: depth-first enumeration of every admissible cyclic
     n-tuple, each weighted from its own wrapped run lengths, as the reference
     for the transfer-matrix trace; and that trace again in mpmath arithmetic.
+
+The literal engine rests on the finite-word machinery kept here as well
+(`Word`, its continuation tags, the per-position potential `phi_at` and the
+Birkhoff weights), and `edge_set` lists the butterfly graph's edges pair by
+pair as the reference for `build_graph`'s block-filled adjacency matrix.
 """
 
 from __future__ import annotations
@@ -20,27 +25,199 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from butterflyshift.model import (
     FOUR,
     FOUR_P,
-    INTO_ONE,
-    INTO_THREE_TWO,
     ModelParams,
     ONE,
     THREE,
+    THREE_P,
     TransitionGraph,
     TWO,
-    Word,
-    birkhoff_weight,
+    aux_symbol,
     is_aux,
     is_one_family,
 )
 from butterflyshift.spectral import lambda_1, wing_multiplicity
 
 LITERAL_HORIZON_CAP = 14
+
+# continuation tags: which cylinder the infinite suffix of a finite word enters
+INTO_ONE = "into_one"            # suffix starts 1...
+INTO_THREE_TWO = "into_three_two"  # suffix starts 3,2,...
+ALL_TWOS = "all_twos"            # suffix is 2,2,2,...
+STAY_IN_WING = "stay_in_wing"    # suffix never meets a 2 (wing symbols forever)
+
+CONTINUATIONS = (INTO_ONE, INTO_THREE_TWO, ALL_TWOS, STAY_IN_WING)
+
+WINGS = (THREE, FOUR, THREE_P, FOUR_P)
+
+
+class LookaheadError(ValueError):
+    """Run-length lookahead cannot be resolved from the word plus its continuation."""
+
+
+# ---------------------------------------------------------------------------
+# the graph, edge by edge
+
+def edge_set(params: ModelParams, extra_edges=(), drop_edges=()) -> frozenset[tuple[str, str]]:
+    """The butterfly graph's edges, added one (from, to) pair at a time."""
+    auxes = [aux_symbol(i) for i in range(1, params.L + 1)]
+    edges: set[tuple[str, str]] = set()
+    # head: 1 and the auxiliaries form a full shift on L+1 symbols, but only 1
+    # opens the door to the body
+    edges.add((ONE, ONE))
+    edges.add((ONE, TWO))
+    for a in auxes:
+        edges.add((ONE, a))
+        edges.add((a, ONE))
+        for b in auxes:
+            edges.add((a, b))
+    # body and unprimed wing
+    edges.update({(TWO, ONE), (TWO, TWO), (TWO, THREE)})
+    edges.update({(THREE, TWO), (THREE, THREE), (THREE, FOUR)})
+    edges.update({(FOUR, THREE), (FOUR, FOUR)})
+    if params.variant == "B":
+        edges.add((TWO, THREE_P))
+        edges.update({(THREE_P, TWO), (THREE_P, THREE_P), (THREE_P, FOUR_P)})
+        edges.update({(FOUR_P, THREE_P), (FOUR_P, FOUR_P)})
+    edges.update(extra_edges)
+    edges.difference_update(drop_edges)
+    return frozenset(edges)
+
+
+# ---------------------------------------------------------------------------
+# finite words and their potential
+
+def is_admissible(graph: TransitionGraph, symbols: Sequence[str]) -> bool:
+    """True iff every adjacent pair of symbols is an allowed edge."""
+    return all(graph.allowed(a, b) for a, b in zip(symbols, symbols[1:]))
+
+
+@dataclass(frozen=True)
+class Word:
+    """Finite admissible word together with the cylinder class of its suffix.
+
+    The continuation tag is what makes run-length lookahead at the right edge
+    of the word well defined: return-word enumeration always knows which
+    cylinder it re-enters, so no infinite words are ever needed.
+    """
+
+    symbols: tuple[str, ...]
+    continuation: str
+
+    def __post_init__(self) -> None:
+        if not self.symbols:
+            raise ValueError("empty word")
+        if self.continuation not in CONTINUATIONS:
+            raise ValueError(f"unknown continuation {self.continuation!r}")
+
+    def __len__(self) -> int:
+        return len(self.symbols)
+
+
+def continuation_consistent(graph: TransitionGraph, word: Word) -> bool:
+    """Does the declared suffix class attach admissibly to the last symbol?"""
+    last = word.symbols[-1]
+    if word.continuation == INTO_ONE:
+        return graph.allowed(last, ONE)
+    if word.continuation == INTO_THREE_TWO:
+        return graph.allowed(last, THREE)
+    if word.continuation == ALL_TWOS:
+        return graph.allowed(last, TWO)
+    return any(graph.allowed(last, w) for w in (THREE, FOUR, THREE_P, FOUR_P)
+               if w in graph.alphabet)
+
+
+_MIRROR = {THREE: THREE_P, THREE_P: THREE, FOUR: FOUR_P, FOUR_P: FOUR}
+
+
+def mirror_symbol(sym: str) -> str:
+    """Swap 3<->3' and 4<->4'; other symbols are fixed."""
+    return _MIRROR.get(sym, sym)
+
+
+def mirror_word(word: Word) -> Word:
+    return Word(tuple(mirror_symbol(s) for s in word.symbols), word.continuation)
+
+
+def _log_ratio(dist: int) -> float:
+    # log((n+1)/n) for run distance n
+    return math.log1p(1.0 / dist)
+
+
+def phi_at(params: ModelParams, word: Word, position: int) -> float:
+    """Potential at one position of a finite word.
+
+    Values:
+      * -alpha on the 1-family;
+      * -log((n+1)/n) on a 2 whose distance to the first non-2 is n;
+      * gamma - epsilon*log((n+1)/n) on 3/3' and gamma + delta - (same
+        correction) on 4/4', with n the distance to the next 2;
+      * when that distance is infinite the logarithmic correction is 0.
+
+    Distances are resolved inside the word when possible and through the
+    declared continuation otherwise.
+    """
+    n = len(word.symbols)
+    if not 0 <= position < n:
+        raise IndexError(position)
+    sym = word.symbols[position]
+    if is_one_family(sym):
+        return -params.alpha
+
+    if sym == TWO:
+        dist = None
+        for j in range(position + 1, n):
+            if word.symbols[j] != TWO:
+                dist = j - position
+                break
+        if dist is None:
+            if word.continuation == ALL_TWOS:
+                return 0.0  # infinite run: -log((n+1)/n) -> 0
+            # INTO_ONE, INTO_THREE_TWO, STAY_IN_WING all start with a non-2
+            dist = n - position
+        return -_log_ratio(dist)
+
+    if sym in WINGS:
+        base = params.gamma + (params.delta if sym in (FOUR, FOUR_P) else 0.0)
+        dist = None
+        for j in range(position + 1, n):
+            if word.symbols[j] == TWO:
+                dist = j - position
+                break
+        if dist is None:
+            if word.continuation == STAY_IN_WING:
+                return base  # never meets a 2: correction vanishes
+            if word.continuation == ALL_TWOS:
+                dist = n - position
+            elif word.continuation == INTO_THREE_TWO:
+                dist = n + 1 - position  # suffix is 3,2,...: the 2 sits one past the 3
+            else:
+                raise LookaheadError(
+                    f"wing symbol at position {position} cannot be followed by the "
+                    f"{word.continuation!r} suffix"
+                )
+        return base - params.epsilon * _log_ratio(dist)
+
+    raise ValueError(f"unknown symbol {sym!r}")
+
+
+def birkhoff_sum(params: ModelParams, word: Word) -> float:
+    """Sum of phi over all positions of the word."""
+    return math.fsum(phi_at(params, word, i) for i in range(len(word.symbols)))
+
+
+def birkhoff_weight(params: ModelParams, word: Word, beta: float, Z: float) -> float:
+    """exp(beta * S_tau(phi) - Z * tau) with tau = len(word); strictly positive."""
+    tau = len(word.symbols)
+    return math.exp(beta * birkhoff_sum(params, word) - Z * tau)
+
+
 
 
 @dataclass(frozen=True)

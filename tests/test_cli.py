@@ -1,6 +1,7 @@
 import csv
 import io
 import os
+import time
 from contextlib import redirect_stdout
 
 from butterflyshift.cli import EXIT_CONFIG, EXIT_OK, EXIT_ORACLE_FAIL, main
@@ -130,6 +131,24 @@ class TestOracleCmd:
                          "--corrupt-edge", "4:2"])
         assert code == EXIT_ORACLE_FAIL
         assert "FAIL" in out
+
+    def test_corrupted_aux_edge_fails(self):
+        # one auxiliary among several stepping into the body: a block fill
+        # that overwrote the single corrupted entry would pass
+        code, out = run(["oracle", "--config", CFG, "--L", "3", "--corrupt-edge", "1_2:2"])
+        assert code == EXIT_ORACLE_FAIL
+        row = next(line for line in out.splitlines() if line.startswith("entropy vs P(0)"))
+        assert row.split()[-1] == "FAIL"
+
+    def test_large_L_is_cheap(self):
+        # the graph is a block-filled adjacency matrix: L = 2000 costs about
+        # what L = 1 does, not the seconds an edge-by-edge build took
+        t0 = time.perf_counter()
+        code, out = run(["oracle", "--config", CFG, "--L", "2000"])
+        elapsed = time.perf_counter() - t0
+        assert code == EXIT_OK
+        assert out.strip().endswith("PASS")
+        assert elapsed < 3.0, f"oracle --L 2000 took {elapsed:.2f} s"
 
     def test_malformed_corrupt_edge_exits_2(self, capsys):
         # a mistyped negative control must not pass for one that failed

@@ -89,6 +89,17 @@ class TestBetaHi:
         assert crit.beta_lo < crit.beta_hi
         assert abs(crit.residual_hi) < 1e-9
 
+    def test_root_within_ulps_of_beta_lo_has_finite_residual(self):
+        # beta_hi lies an ulp or two above beta_lo, so beta_lo plus the
+        # bracket midpoint rounds onto a beta where lambda_1 still diverges;
+        # the upper bracket end is returned instead
+        p = ModelParams(162.4003371438256, 0.07871000039241646, 1.1178542454390377,
+                        4.0197516627129835, L=152, variant="B")
+        crit = critical_set(p)
+        assert crit.beta_hi > crit.beta_lo
+        assert math.isfinite(crit.residual_hi) and crit.residual_hi <= 0.0
+        assert crit.beta_hi == crit.bracket_hi[1]
+
     def test_lambda_equals_one(self):
         b_c = beta_hi(WIDE)
         lam = lambda_1(WIDE, b_c, pressure_34(WIDE, b_c))

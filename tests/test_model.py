@@ -1,34 +1,40 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from butterflyshift.model import (
-    ALL_TWOS,
-    INTO_ONE,
-    INTO_THREE_TWO,
-    LookaheadError,
     ModelParams,
     ONE,
     REFERENCE,
-    STAY_IN_WING,
     THREE,
     TWO,
-    Word,
+    alphabet_for,
     aux_symbol,
+    build_graph,
+    wing_pressure,
+)
+from butterflyshift.oracle import incidence_matrix, no_one_family
+
+from conftest import assert_close, random_admissible_word
+from reference_engines import (
+    ALL_TWOS,
+    INTO_ONE,
+    INTO_THREE_TWO,
+    STAY_IN_WING,
+    LookaheadError,
+    Word,
     birkhoff_sum,
     birkhoff_weight,
-    build_graph,
     continuation_consistent,
+    edge_set,
     is_admissible,
     mirror_word,
     phi_at,
-    wing_pressure,
 )
-
-from conftest import assert_close, random_admissible_word
 
 
 class TestParams:
@@ -92,6 +98,45 @@ class TestGraph:
         assert continuation_consistent(graph, Word(("4",), STAY_IN_WING))
         assert continuation_consistent(graph, Word((TWO,), INTO_THREE_TWO))
         assert not continuation_consistent(graph, Word((aux_symbol(1),), INTO_THREE_TWO))
+
+
+class TestAdjacencyMatchesEdgeSet:
+    """The block-filled adjacency matrix against the graph added edge by edge."""
+
+    @staticmethod
+    def corruption(name, L):
+        aux = aux_symbol(min(L, 2))  # 1_2, or 1_1 at L = 1
+        return {
+            "clean": ((), ()),
+            "4:2": ((("4", TWO),), ()),
+            "4:1": ((("4", ONE),), ()),
+            "aux:2": (((aux, TWO),), ()),
+            "drop 3:3": ((), ((THREE, THREE),)),
+            "drop aux:1": ((), ((aux, ONE),)),
+        }[name]
+
+    @pytest.mark.parametrize("name", ["clean", "4:2", "4:1", "aux:2", "drop 3:3", "drop aux:1"])
+    @pytest.mark.parametrize("variant", ["A", "B"])
+    @pytest.mark.parametrize("L", [1, 7, 300])
+    def test_same_graph(self, L, variant, name):
+        params = ModelParams(1.0, 0.5, 1.0, 1.0, L, variant)
+        extra, drop = self.corruption(name, L)
+        graph = build_graph(params, extra_edges=extra, drop_edges=drop)
+        edges = edge_set(params, extra, drop)
+        alphabet = alphabet_for(params)
+        assert graph.alphabet == alphabet
+        assert graph.edges == edges
+        for s in alphabet:
+            assert graph.successors(s) == tuple(t for t in alphabet if (s, t) in edges), s
+        for restrict in (None, no_one_family(graph)):
+            syms = [s for s in alphabet if restrict is None or s in restrict]
+            ref = np.array([[1.0 if (a, b) in edges else 0.0 for b in syms] for a in syms])
+            assert np.array_equal(incidence_matrix(graph, restrict), ref)
+
+    def test_unknown_symbol_raises(self, params):
+        for edge in (("5", TWO), (TWO, aux_symbol(2))):
+            with pytest.raises(ValueError, match="outside the alphabet"):
+                build_graph(params, extra_edges=[edge])
 
 
 class TestPotential:

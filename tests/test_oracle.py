@@ -103,15 +103,19 @@ class TestEnginesAgree:
             assert_close(dp[t], lit[t], 1e-14 * max(1.0, abs(lit[t])), f"tau={t}")
 
     def test_dp_matches_literal_on_corrupted_graph(self):
-        graph = build_graph(REFERENCE, extra_edges=[("4", "2")])
-        beta, Z = 0.5, pressure_full(REFERENCE, 0.5) + 0.4
-        N = 9
-        lit = [0.0] * (N + 1)
-        for rw in return_words_to_1(graph, REFERENCE, beta, Z, N):
-            lit[rw.tau] += rw.weight
-        dp = dp_partial_returns_to_1(graph, REFERENCE, beta, Z, N)
-        for t in range(1, N + 1):
-            assert_close(dp[t], lit[t], 1e-14 * max(1.0, abs(lit[t])), f"tau={t}")
+        # an extra body edge, and (at L = 1, where the auxiliary state is
+        # exact) the auxiliary's way back to 1 removed
+        for extra, drop in [([("4", "2")], []), ([], [("1_1", "1")])]:
+            graph = build_graph(REFERENCE, extra_edges=extra, drop_edges=drop)
+            beta, Z = 0.5, pressure_full(REFERENCE, 0.5) + 0.4
+            N = 9
+            lit = [0.0] * (N + 1)
+            for rw in return_words_to_1(graph, REFERENCE, beta, Z, N):
+                lit[rw.tau] += rw.weight
+            dp = dp_partial_returns_to_1(graph, REFERENCE, beta, Z, N)
+            for t in range(1, N + 1):
+                assert_close(dp[t], lit[t], 1e-14 * max(1.0, abs(lit[t])),
+                             f"extra={extra} drop={drop} tau={t}")
 
     def test_compressed_matches_dp(self):
         graph = build_graph(REFERENCE)
@@ -162,7 +166,7 @@ class TestReturnExamples:
         beta, Z = 0.6, pressure_full(PARAMS_B, 0.6) + 0.4
         words = return_words_to_1(graph, PARAMS_B, beta, Z, 8)
         by_symbols = {rw.word.symbols: rw.weight for rw in words}
-        from butterflyshift.model import mirror_symbol
+        from reference_engines import mirror_symbol
         primed = [rw for rw in words if any(s in ("3'", "4'") for s in rw.word.symbols)]
         assert primed, "expected primed-wing excursions"
         for rw in primed:
