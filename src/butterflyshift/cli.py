@@ -11,14 +11,12 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import math
 import os
 import sys
 from dataclasses import dataclass, replace
 
 from . import critical, oracle
 from .model import ModelParams, build_graph
-from .series import DEFAULT_TOL, riemann_zeta
 from .svgchart import write_line_chart
 
 EXIT_OK = 0
@@ -36,7 +34,6 @@ class RunConfig:
     beta_start: float = 0.0
     beta_stop: float = 1.2
     beta_step: float = 0.01
-    series_tol: float = DEFAULT_TOL
     n_return: int = 22
     n_period: int = 12
     n_ln: int = 20
@@ -46,10 +43,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.beta_start < 0:
             raise ConfigError("beta_start must be >= 0")
+        if self.beta_stop < self.beta_start:
+            raise ConfigError("beta_stop must be >= beta_start")
         if self.beta_step <= 0:
             raise ConfigError("beta_step must be > 0")
-        if self.series_tol <= 0:
-            raise ConfigError("series_tol must be positive")
         if not (1 <= self.n_return <= oracle.RAW_HORIZON_CAP):
             raise ConfigError(f"n_return must be in 1..{oracle.RAW_HORIZON_CAP}")
         if not (3 <= self.n_period <= oracle.PERIOD_CAP):
@@ -61,8 +58,7 @@ class RunConfig:
 _PARAM_KEYS = {"alpha": float, "gamma": float, "delta": float, "epsilon": float,
                "L": int, "variant": str}
 _CONFIG_KEYS = {"beta_start": float, "beta_stop": float, "beta_step": float,
-                "series_tol": float, "n_return": int, "n_period": int, "n_ln": int,
-                "out": str, "svg": bool}
+                "n_return": int, "n_period": int, "n_ln": int, "out": str, "svg": bool}
 
 
 def _parse_bool(v: str) -> bool:
@@ -160,10 +156,10 @@ def _beta_grid(cfg: RunConfig) -> list[float]:
 # subcommands
 
 def cmd_critical(cfg: RunConfig) -> int:
-    crit = critical.critical_set(cfg.params, cfg.series_tol)
+    crit = critical.critical_set(cfg.params)
     eb_lo = cfg.params.epsilon * crit.beta_lo
     eb_hi = cfg.params.epsilon * crit.beta_hi
-    zeta_lo = riemann_zeta(eb_lo) if eb_lo > 1 else math.inf
+    zeta_lo = critical.zeta_at_beta_lo(cfg.params)
     lo_name, hi_name = ("beta_1", "beta_c") if cfg.params.variant == "A" else ("beta_2", "beta_c_prime")
     print(f"{lo_name} = {_fmt(crit.beta_lo)}   (residual {_fmt(crit.residual_lo)})")
     print(f"{hi_name} = {_fmt(crit.beta_hi)}   (residual {_fmt(crit.residual_hi)})")
@@ -181,11 +177,11 @@ def cmd_critical(cfg: RunConfig) -> int:
 
 def cmd_curves(cfg: RunConfig) -> int:
     grid = _beta_grid(cfg)
-    samples = [critical.pressure_sample(cfg.params, b, cfg.series_tol) for b in grid]
+    samples = [critical.pressure_sample(cfg.params, b) for b in grid]
     rows = [[s.beta, s.p34, s.p_mid, s.p_full, s.ztilde, s.regime] for s in samples]
     _write_csv(cfg.out, ["beta", "p34", "p_mid", "p_full", "ztilde", "regime"], rows)
     if cfg.svg:
-        crit = critical.critical_set(cfg.params, cfg.series_tol)
+        crit = critical.critical_set(cfg.params)
         svg_path = (os.path.splitext(cfg.out)[0] + ".svg") if cfg.out else "curves.svg"
         write_line_chart(
             svg_path,
@@ -203,8 +199,7 @@ def cmd_curves(cfg: RunConfig) -> int:
 def cmd_equilibria(cfg: RunConfig, beta_star: float | None) -> int:
     rows = []
     for which in ("at_beta_lo", "at_beta_hi"):
-        rep = critical.equilibrium_report(cfg.params, which, beta_star=beta_star,
-                                          tol=cfg.series_tol)
+        rep = critical.equilibrium_report(cfg.params, which, beta_star=beta_star)
         cyl = "[32]" if which == "at_beta_lo" else "[1]"
         rel = ">" if rep.eps_beta > 2 else "<="
         verdict = (f"eps*beta {rel} 2: "
@@ -255,9 +250,9 @@ def cmd_oracle(cfg: RunConfig, corrupt_edge: str | None) -> int:
           + ("all exact (<=1e-11 relative)" if not any(f.startswith("L_n") for f in failures)
              else "MISMATCH"))
 
-    crit = critical.critical_set(params, cfg.series_tol)
+    crit = critical.critical_set(params)
     betas = [0.25, 0.5] if crit.beta_hi > 0.6 else [0.5 * crit.beta_hi]
-    pressures = {b: critical.pressure_full(params, b, cfg.series_tol) for b in betas}
+    pressures = {b: critical.pressure_full(params, b) for b in betas}
     for b in betas:
         Z = pressures[b] + 0.2
         cmp1 = oracle.enumerate_returns_to_1(params, b, Z, cfg.n_return, graph=graph)
@@ -271,11 +266,11 @@ def cmd_oracle(cfg: RunConfig, corrupt_edge: str | None) -> int:
                cmp2.gap, cmp2.certified_tail, cmp2.consistent)
 
     h_full = oracle.incidence_entropy(graph)
-    p_full0 = critical.pressure_full(params, 0.0, cfg.series_tol)
+    p_full0 = critical.pressure_full(params, 0.0)
     report("entropy vs P(0)", p_full0, h_full, p_full0 - h_full, 1e-8,
            abs(p_full0 - h_full) <= 1e-8)
     h_mid = oracle.incidence_entropy(graph, restrict_to=oracle.no_one_family(graph))
-    p_mid0 = critical.pressure_mid(params, 0.0, cfg.series_tol)
+    p_mid0 = critical.pressure_mid(params, 0.0)
     report("entropy vs P_mid(0)", p_mid0, h_mid, p_mid0 - h_mid, 1e-8,
            abs(p_mid0 - h_mid) <= 1e-8)
 
@@ -291,20 +286,31 @@ def cmd_oracle(cfg: RunConfig, corrupt_edge: str | None) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, param_name: str, values: list[float]) -> int:
+def _swept_params(base: ModelParams, param_name: str, text: str) -> ModelParams:
+    """`base` with one parameter set from a --values entry; L must be an integer."""
+    try:
+        v = float(text)
+        if param_name == "L":
+            if not v.is_integer():
+                raise ValueError("not an integer")
+            v = int(v)
+        return replace(base, **{param_name: v})
+    except ValueError as exc:
+        raise ConfigError(f"bad --values entry {text!r} for {param_name}: {exc}") from exc
+
+
+def cmd_sweep(cfg: RunConfig, param_name: str, values: list[str]) -> int:
     if param_name not in ("alpha", "gamma", "delta", "epsilon", "L"):
         raise ConfigError(f"cannot sweep parameter {param_name!r}")
 
-    def one(v):
-        v_typed = int(v) if param_name == "L" else float(v)
-        p = replace(cfg.params, **{param_name: v_typed})
-        crit = critical.critical_set(p, cfg.series_tol)
-        eb_lo = p.epsilon * crit.beta_lo
-        eb_hi = p.epsilon * crit.beta_hi
-        zl = riemann_zeta(eb_lo) if eb_lo > 1 else math.inf
-        return [v_typed, crit.beta_lo, crit.beta_hi, eb_lo, eb_hi, zl]
+    def one(p):
+        crit = critical.critical_set(p)
+        return [getattr(p, param_name), crit.beta_lo, crit.beta_hi,
+                p.epsilon * crit.beta_lo, p.epsilon * crit.beta_hi,
+                critical.zeta_at_beta_lo(p)]
 
-    rows = [one(v) for v in values]
+    sets = [_swept_params(cfg.params, param_name, v) for v in values]
+    rows = [one(p) for p in sets]
     _write_csv(cfg.out, ["value", "beta_lo", "beta_hi", "eps_beta_lo",
                          "eps_beta_hi", "zeta_eps_beta_lo"], rows)
     return EXIT_OK
@@ -323,7 +329,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta-start", dest="beta_start", type=float)
     p.add_argument("--beta-stop", dest="beta_stop", type=float)
     p.add_argument("--beta-step", dest="beta_step", type=float)
-    p.add_argument("--series-tol", dest="series_tol", type=float)
     p.add_argument("--n-return", dest="n_return", type=int)
     p.add_argument("--n-period", dest="n_period", type=int)
     p.add_argument("--n-ln", dest="n_ln", type=int)
@@ -374,7 +379,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "oracle":
             return cmd_oracle(cfg, args.corrupt_edge)
         if args.command == "sweep":
-            values = [float(v) for v in args.values.split(",") if v.strip()]
+            values = [v for v in args.values.split(",") if v.strip()]
             if not values:
                 raise ConfigError("--values is empty")
             return cmd_sweep(cfg, args.param, values)

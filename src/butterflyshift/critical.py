@@ -24,7 +24,7 @@ from functools import lru_cache
 
 from .model import ModelParams, wing_pressure
 from .roots import bisect_log_offset, newton_log_offset
-from .series import DEFAULT_TOL, dsigma_dZ, riemann_zeta
+from .series import dsigma_dZ, riemann_zeta
 from .spectral import (
     composition_boundary,
     composition_value_at_floor,
@@ -98,18 +98,19 @@ def pressure_34(params: ModelParams, beta: float) -> float:
 
 
 @lru_cache(maxsize=256)
-def _critical_set_cached(params: ModelParams, tol: float) -> CriticalSet:
+def critical_set(params: ModelParams) -> CriticalSet:
+    """Both transition parameters of the system (cached per parameter set)."""
     eps = params.epsilon
 
     def f_lo(u: float) -> float:
-        return composition_value_at_floor(params, (1.0 + u) / eps, tol) - 1.0
+        return composition_value_at_floor(params, (1.0 + u) / eps) - 1.0
 
     lo = bisect_log_offset(f_lo)
     b_lo = (1.0 + lo.offset) / eps
 
     def f_hi(v: float) -> float:
         b = b_lo + v
-        lam = lambda_1(params, b, wing_pressure(params, b), tol=tol)
+        lam = lambda_1(params, b, wing_pressure(params, b))
         return (lam.value if lam.defined else math.inf) - 1.0
 
     hi = bisect_log_offset(f_hi, hi0=max(1.0, b_lo))
@@ -131,26 +132,21 @@ def _critical_set_cached(params: ModelParams, tol: float) -> CriticalSet:
     )
 
 
-def critical_set(params: ModelParams, tol: float = DEFAULT_TOL) -> CriticalSet:
-    """Both transition parameters of the system (cached per parameter set)."""
-    return _critical_set_cached(params, tol)
-
-
-def beta_lo(params: ModelParams, tol: float = DEFAULT_TOL) -> float:
+def beta_lo(params: ModelParams) -> float:
     """beta_1 / beta_2: unique root of m*Sigma2*Sigma3(P34(beta), beta) = 1.
 
     The map is strictly decreasing, +inf below eps*beta = 1 (the zeta pole)
     and -> 0 as beta grows, so the root exists for every parameter set.
     """
-    return critical_set(params, tol).beta_lo
+    return critical_set(params).beta_lo
 
 
-def beta_hi(params: ModelParams, tol: float = DEFAULT_TOL) -> float:
+def beta_hi(params: ModelParams) -> float:
     """beta_c / beta_c': unique root of lambda_[1](P34(beta), beta) = 1 above beta_lo."""
-    return critical_set(params, tol).beta_hi
+    return critical_set(params).beta_hi
 
 
-def ztilde_c(params: ModelParams, beta: float, tol: float = DEFAULT_TOL) -> float | None:
+def ztilde_c(params: ModelParams, beta: float) -> float | None:
     """The Z > P34(beta) where m*Sigma2*Sigma3 = 1, or None past beta_lo.
 
     For beta below beta_lo this is the pressure of the subsystem without the
@@ -158,10 +154,10 @@ def ztilde_c(params: ModelParams, beta: float, tol: float = DEFAULT_TOL) -> floa
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    return composition_boundary(params, beta, tol)
+    return composition_boundary(params, beta)
 
 
-def pressure_full(params: ModelParams, beta: float, tol: float = DEFAULT_TOL) -> float:
+def pressure_full(params: ModelParams, beta: float) -> float:
     """Pressure of the full system.
 
     Below beta_hi: the unique Z with lambda_[1] = 1, found by safeguarded
@@ -171,14 +167,14 @@ def pressure_full(params: ModelParams, beta: float, tol: float = DEFAULT_TOL) ->
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    crit = critical_set(params, tol)
+    crit = critical_set(params)
     if beta >= crit.beta_hi:
         return wing_pressure(params, beta)
     z0 = max(wing_pressure(params, beta), math.log(params.L) - params.alpha * beta)
-    return z0 + newton_log_offset(lambda z: lambda_1_dZ(params, beta, z, tol), z0).offset
+    return z0 + newton_log_offset(lambda z: lambda_1_dZ(params, beta, z), z0).offset
 
 
-def pressure_mid(params: ModelParams, beta: float, tol: float = DEFAULT_TOL) -> float:
+def pressure_mid(params: ModelParams, beta: float) -> float:
     """Pressure of the subsystem without the 1-family.
 
     Equals the composition boundary Z~_c below beta_lo and P34 from beta_lo
@@ -186,14 +182,14 @@ def pressure_mid(params: ModelParams, beta: float, tol: float = DEFAULT_TOL) -> 
     """
     if beta < 0:
         raise ValueError("beta must be >= 0")
-    zt = composition_boundary(params, beta, tol)
+    zt = composition_boundary(params, beta)
     return zt if zt is not None else wing_pressure(params, beta)
 
 
-def pressure_sample(params: ModelParams, beta: float, tol: float = DEFAULT_TOL) -> PressureSample:
+def pressure_sample(params: ModelParams, beta: float) -> PressureSample:
     """One beta-grid point with all three pressures and its regime label."""
-    crit = critical_set(params, tol)
-    zt = ztilde_c(params, beta, tol)
+    crit = critical_set(params)
+    zt = ztilde_c(params, beta)
     if beta < crit.beta_lo:
         regime = BELOW_LO
     elif beta < crit.beta_hi:
@@ -204,15 +200,14 @@ def pressure_sample(params: ModelParams, beta: float, tol: float = DEFAULT_TOL) 
         beta=beta,
         p34=pressure_34(params, beta),
         p_mid=zt if zt is not None else wing_pressure(params, beta),
-        p_full=pressure_full(params, beta, tol),
+        p_full=pressure_full(params, beta),
         ztilde=zt,
         regime=regime,
     )
 
 
 def equilibrium_report(params: ModelParams, which: str,
-                       beta_star: float | None = None,
-                       tol: float = DEFAULT_TOL) -> EquilibriumReport:
+                       beta_star: float | None = None) -> EquilibriumReport:
     """Equilibrium count and cylinder-weight verdict at a transition.
 
     which is "at_beta_lo" or "at_beta_hi"; beta_star overrides the transition
@@ -225,11 +220,11 @@ def equilibrium_report(params: ModelParams, which: str,
     """
     if which not in ("at_beta_lo", "at_beta_hi"):
         raise ValueError(f"which must be 'at_beta_lo' or 'at_beta_hi', got {which!r}")
-    crit = critical_set(params, tol)
+    crit = critical_set(params)
     b = beta_star if beta_star is not None else (
         crit.beta_lo if which == "at_beta_lo" else crit.beta_hi)
     eps_beta = params.epsilon * b
-    dS3 = dsigma_dZ("S3", params, b, wing_pressure(params, b), tol=tol)
+    dS3 = dsigma_dZ("S3", params, b, wing_pressure(params, b))
     finite = not dS3.divergent
     # a second equilibrium needs weight on the inducing cylinder (finite return
     # time), except with doubled wings, where the two mirrored wing
@@ -244,9 +239,9 @@ def equilibrium_report(params: ModelParams, which: str,
     )
 
 
-def zeta_at_beta_lo(params: ModelParams, tol: float = DEFAULT_TOL) -> float:
+def zeta_at_beta_lo(params: ModelParams) -> float:
     """zeta(eps * beta_lo); the defining equation forces this above 5."""
-    eb = params.epsilon * critical_set(params, tol).beta_lo
+    eb = params.epsilon * critical_set(params).beta_lo
     return riemann_zeta(eb) if eb > 1.0 else math.inf
 
 
@@ -255,8 +250,7 @@ def _wing_pressure_gamma(params: ModelParams, beta: float, gamma: float) -> floa
                                      params.epsilon, params.L, params.variant), beta)
 
 
-def gateaux_check(params: ModelParams, beta: float, t_values: list[float],
-                  tol: float = DEFAULT_TOL) -> GateauxReport:
+def gateaux_check(params: ModelParams, beta: float, t_values: list[float]) -> GateauxReport:
     """One-sided difference quotients of the pressure under wing perturbations.
 
     Variant B above beta_hi only, where the pressure is the maximum of the two
@@ -268,7 +262,7 @@ def gateaux_check(params: ModelParams, beta: float, t_values: list[float],
     """
     if params.variant != "B":
         raise ValueError("gateaux_check requires variant B")
-    crit = critical_set(params, tol)
+    crit = critical_set(params)
     if not beta > crit.beta_hi:
         raise ValueError(f"gateaux_check requires beta > beta_hi = {crit.beta_hi}")
     ts = tuple(t for t in t_values if t != 0.0)

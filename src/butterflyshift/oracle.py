@@ -60,8 +60,6 @@ class OracleComparison:
 
     analytic: float
     enumerated_partial: float
-    horizon_N: int
-    enumeration_count: int
     gap: float
     certified_tail: float
 
@@ -237,7 +235,6 @@ def enumerate_returns_to_1(params: ModelParams, beta: float, Z: float, N: int,
     if N > RAW_HORIZON_CAP:
         raise ValueError(f"graph-walk enumeration capped at N={RAW_HORIZON_CAP}")
     per_tau = dp_partial_returns_to_1(graph, params, beta, Z, N)
-    count = _count_returns_to_1(graph, params, N)
     lam = _lambda_1(params, beta, Z)
     if not lam.defined:
         raise ValueError("lambda_1 undefined at the requested point")
@@ -245,7 +242,7 @@ def enumerate_returns_to_1(params: ModelParams, beta: float, Z: float, N: int,
     tail = _renewal_tail_bound(
         params, beta, Z, N, rep.Z_c,
         lambda z: (lambda s: s.value if s.defined else None)(_lambda_1(params, beta, z)))
-    return OracleComparison(lam.value, partial, N, count, lam.value - partial, tail)
+    return OracleComparison(lam.value, partial, lam.value - partial, tail)
 
 
 def enumerate_returns_to_32(params: ModelParams, beta: float, Z: float, N: int,
@@ -269,8 +266,7 @@ def enumerate_returns_to_32(params: ModelParams, beta: float, Z: float, N: int,
     tail = _renewal_tail_bound(
         params, beta, Z, N, z_floor,
         lambda z: (lambda s: s.value if s.defined else None)(_lambda_32(params, beta, z)))
-    return OracleComparison(lam.value, partial, N, _count_returns_to_32(graph, params, N),
-                            lam.value - partial, tail)
+    return OracleComparison(lam.value, partial, lam.value - partial, tail)
 
 
 def abscissa_32(params: ModelParams, beta: float) -> float:
@@ -281,15 +277,6 @@ def abscissa_32(params: ModelParams, beta: float) -> float:
                            params.epsilon, params.L, "A")
     boundary = composition_boundary(one_wing, beta)  # Sigma2*Sigma3 = 1
     return boundary if boundary is not None else floor
-
-
-def _count_returns_to_1(graph: TransitionGraph, params: ModelParams, N: int) -> int:
-    """Number of first-return words with tau <= N (the weight DP at beta=Z=0)."""
-    return round(math.fsum(dp_partial_returns_to_1(graph, params, 0.0, 0.0, N)))
-
-
-def _count_returns_to_32(graph: TransitionGraph, params: ModelParams, N: int) -> int:
-    return round(math.fsum(dp_partial_returns_to_32(graph, params, 0.0, 0.0, N)))
 
 
 # ---------------------------------------------------------------------------

@@ -188,10 +188,9 @@ def sigma1(params: ModelParams, beta: float, Z: float) -> SeriesEval:
     return SeriesEval(math.exp(-params.alpha * beta - Z) / (1.0 - r), 0.0, 0, False)
 
 
-def sigma2(params: ModelParams, beta: float, Z: float,
-           tol: float = DEFAULT_TOL) -> SeriesEval:
+def sigma2(params: ModelParams, beta: float, Z: float) -> SeriesEval:
     """sum_{n>=1} (n+1)^(-beta) e^(-nZ): the weight of maximal 2-strings."""
-    return tail_sum(beta, Z, tol)
+    return tail_sum(beta, Z)
 
 
 def wing_prefactor(params: ModelParams, beta: float) -> float:
@@ -222,8 +221,7 @@ def single_block_correction(params: ModelParams, beta: float, Z: float) -> float
             * _sigmoid(params.delta * beta))
 
 
-def sigma3(params: ModelParams, beta: float, Z: float,
-           tol: float = DEFAULT_TOL) -> SeriesEval:
+def sigma3(params: ModelParams, beta: float, Z: float) -> SeriesEval:
     """Weight of maximal wing blocks between consecutive 2-strings.
 
     With W = Z - P34(beta):
@@ -234,7 +232,7 @@ def sigma3(params: ModelParams, beta: float, Z: float,
     Divergent iff W < 0, or W = 0 with eps*beta <= 1.
     """
     W = Z - wing_pressure(params, beta)
-    base = tail_sum(params.epsilon * beta, W, tol)
+    base = tail_sum(params.epsilon * beta, W)
     if base.divergent:
         return _DIVERGENT
     pref = wing_prefactor(params, beta)
@@ -244,8 +242,7 @@ def sigma3(params: ModelParams, beta: float, Z: float,
                       base.terms_used, False)
 
 
-def dsigma_dZ(which: str, params: ModelParams, beta: float, Z: float,
-              tol: float = DEFAULT_TOL) -> SeriesEval:
+def dsigma_dZ(which: str, params: ModelParams, beta: float, Z: float) -> SeriesEval:
     """Term-wise d/dZ of sigma1 / sigma2 / sigma3 (every term gains -n).
 
     For S3 at W = 0 the derivative series is sum n (n+1)^(-eps*beta), finite
@@ -260,8 +257,8 @@ def dsigma_dZ(which: str, params: ModelParams, beta: float, Z: float,
         return SeriesEval(-first / (1.0 - r) ** 2, 0.0, 0, False)
     if which == "S2":
         # n (n+1)^(-s) = (n+1)^(1-s) - (n+1)^(-s)
-        hi = tail_sum(beta - 1.0, Z, tol)
-        lo = tail_sum(beta, Z, tol)
+        hi = tail_sum(beta - 1.0, Z)
+        lo = tail_sum(beta, Z)
         if hi.divergent or lo.divergent:
             return _DIVERGENT
         return SeriesEval(-(hi.value - lo.value), hi.tail_bound + lo.tail_bound,
@@ -269,8 +266,8 @@ def dsigma_dZ(which: str, params: ModelParams, beta: float, Z: float,
     if which == "S3":
         W = Z - wing_pressure(params, beta)
         s = params.epsilon * beta
-        hi = tail_sum(s - 1.0, W, tol)
-        lo = tail_sum(s, W, tol)
+        hi = tail_sum(s - 1.0, W)
+        lo = tail_sum(s, W)
         if hi.divergent or lo.divergent:
             return _DIVERGENT
         pref = wing_prefactor(params, beta)

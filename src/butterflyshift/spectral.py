@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from .model import ModelParams, wing_pressure
 from .roots import newton_log_offset
 from .series import (
-    DEFAULT_TOL,
     SeriesEval,
     dsigma_dZ,
     sigma1,
@@ -68,12 +67,11 @@ class AbscissaReport:
     converges_at_Zc: bool
 
 
-def lambda_1(params: ModelParams, beta: float, Z: float,
-             tol: float = DEFAULT_TOL) -> SpectralValue:
+def lambda_1(params: ModelParams, beta: float, Z: float) -> SpectralValue:
     """Spectral radius of the operator induced on the cylinder [1]."""
     s1 = sigma1(params, beta, Z)
-    s2 = sigma2(params, beta, Z, tol=tol)
-    s3 = sigma3(params, beta, Z, tol=tol)
+    s2 = sigma2(params, beta, Z)
+    s3 = sigma3(params, beta, Z)
     m = wing_multiplicity(params)
     if s1.divergent or s2.divergent or s3.divergent or m * s2.value * s3.value >= 1.0:
         return SpectralValue(math.nan, False, s1, s2, s3)
@@ -82,8 +80,7 @@ def lambda_1(params: ModelParams, beta: float, Z: float,
     return SpectralValue(value, True, s1, s2, s3)
 
 
-def lambda_32(params: ModelParams, beta: float, Z: float,
-              tol: float = DEFAULT_TOL) -> SpectralValue:
+def lambda_32(params: ModelParams, beta: float, Z: float) -> SpectralValue:
     """Spectral radius of the operator induced on the cylinder [32].
 
     Variant A return words hold exactly one wing block, so the value is
@@ -91,8 +88,8 @@ def lambda_32(params: ModelParams, beta: float, Z: float,
     number of times first, giving the geometric composition.
     """
     s1 = SeriesEval(0.0, 0.0, 0, False)  # the 1-family plays no role here
-    s2 = sigma2(params, beta, Z, tol=tol)
-    s3 = sigma3(params, beta, Z, tol=tol)
+    s2 = sigma2(params, beta, Z)
+    s3 = sigma3(params, beta, Z)
     if s2.divergent or s3.divergent:
         return SpectralValue(math.nan, False, s1, s2, s3)
     z = s2.value * s3.value
@@ -103,20 +100,20 @@ def lambda_32(params: ModelParams, beta: float, Z: float,
     return SpectralValue(z / (1.0 - z), True, s1, s2, s3)
 
 
-def _wing_series_dZ(params: ModelParams, beta: float, Z: float,
-                    tol: float) -> tuple[float, float, float, float] | None:
+def _wing_series_dZ(params: ModelParams, beta: float,
+                    Z: float) -> tuple[float, float, float, float] | None:
     """(Sigma2, dSigma2/dZ, Sigma3, dSigma3/dZ), or None if Sigma2 or Sigma3 diverges.
 
     Four tail sums: the two series and the two s-1 sums of their derivatives,
     since n (n+1)^(-s) = (n+1)^(1-s) - (n+1)^(-s).  A derivative series that
     diverges (at W = 0 with s <= 2) gives a slope of -inf.
     """
-    s2 = sigma2(params, beta, Z, tol=tol)
-    s3 = sigma3(params, beta, Z, tol=tol)
+    s2 = sigma2(params, beta, Z)
+    s3 = sigma3(params, beta, Z)
     if s2.divergent or s3.divergent:
         return None
-    t2 = tail_sum(beta - 1.0, Z, tol)
-    t3 = tail_sum(params.epsilon * beta - 1.0, Z - wing_pressure(params, beta), tol)
+    t2 = tail_sum(beta - 1.0, Z)
+    t3 = tail_sum(params.epsilon * beta - 1.0, Z - wing_pressure(params, beta))
     corr = single_block_correction(params, beta, Z)
     # Sigma3 = pref * T(s, W) + corr, so d/dZ = -pref * (T(s-1, W) - T(s, W)) - corr
     d2 = -math.inf if t2.divergent else s2.value - t2.value
@@ -125,8 +122,7 @@ def _wing_series_dZ(params: ModelParams, beta: float, Z: float,
     return s2.value, d2, s3.value, d3
 
 
-def lambda_1_dZ(params: ModelParams, beta: float, Z: float,
-                tol: float = DEFAULT_TOL) -> tuple[float, float]:
+def lambda_1_dZ(params: ModelParams, beta: float, Z: float) -> tuple[float, float]:
     """lambda_[1] at (beta, Z) and its Z-derivative, from four tail sums.
 
     The value is that of `lambda_1`, or +inf where `lambda_1` is undefined
@@ -135,7 +131,7 @@ def lambda_1_dZ(params: ModelParams, beta: float, Z: float,
     s1 = sigma1(params, beta, Z)
     if s1.divergent:
         return math.inf, math.nan
-    wings = _wing_series_dZ(params, beta, Z, tol)
+    wings = _wing_series_dZ(params, beta, Z)
     m = wing_multiplicity(params)
     if wings is None or m * wings[0] * wings[2] >= 1.0:
         return math.inf, math.nan
@@ -148,10 +144,9 @@ def lambda_1_dZ(params: ModelParams, beta: float, Z: float,
     return value, slope
 
 
-def composition_dZ(params: ModelParams, beta: float, Z: float,
-                   tol: float = DEFAULT_TOL) -> tuple[float, float]:
+def composition_dZ(params: ModelParams, beta: float, Z: float) -> tuple[float, float]:
     """m * Sigma2 * Sigma3 at (beta, Z) and its Z-derivative (+inf, NaN when divergent)."""
-    wings = _wing_series_dZ(params, beta, Z, tol)
+    wings = _wing_series_dZ(params, beta, Z)
     if wings is None:
         return math.inf, math.nan
     s2, d2, s3, d3 = wings
@@ -159,23 +154,21 @@ def composition_dZ(params: ModelParams, beta: float, Z: float,
     return m * s2 * s3, m * (d2 * s3 + s2 * d3)
 
 
-def _composition(params: ModelParams, beta: float, Z: float, tol: float) -> float:
+def _composition(params: ModelParams, beta: float, Z: float) -> float:
     """m * Sigma2 * Sigma3 at (beta, Z), +inf when a series diverges."""
-    s2 = sigma2(params, beta, Z, tol=tol)
-    s3 = sigma3(params, beta, Z, tol=tol)
+    s2 = sigma2(params, beta, Z)
+    s3 = sigma3(params, beta, Z)
     if s2.divergent or s3.divergent:
         return math.inf
     return wing_multiplicity(params) * s2.value * s3.value
 
 
-def composition_value_at_floor(params: ModelParams, beta: float,
-                               tol: float = DEFAULT_TOL) -> float:
+def composition_value_at_floor(params: ModelParams, beta: float) -> float:
     """m * Sigma2 * Sigma3 evaluated at Z = P34(beta) (+inf when divergent)."""
-    return _composition(params, beta, wing_pressure(params, beta), tol)
+    return _composition(params, beta, wing_pressure(params, beta))
 
 
-def composition_boundary(params: ModelParams, beta: float,
-                         tol: float = DEFAULT_TOL) -> float | None:
+def composition_boundary(params: ModelParams, beta: float) -> float | None:
     """The Z above P34(beta) where m*Sigma2*Sigma3 crosses 1, if it does.
 
     The map is strictly decreasing in Z, +inf-or-large at the floor for small
@@ -184,14 +177,14 @@ def composition_boundary(params: ModelParams, beta: float,
     steps on the map and its Z-derivative.  A root closer to the floor than the solver
     can resolve (floor value within 1e-11 of 1) also counts as absent.
     """
-    if composition_value_at_floor(params, beta, tol) <= 1.0 + 1e-11:
+    if composition_value_at_floor(params, beta) <= 1.0 + 1e-11:
         return None
     z0 = wing_pressure(params, beta)
     return z0 + newton_log_offset(
-        lambda z: composition_dZ(params, beta, z, tol), z0).offset
+        lambda z: composition_dZ(params, beta, z), z0).offset
 
 
-def abscissa(params: ModelParams, beta: float, tol: float = DEFAULT_TOL) -> AbscissaReport:
+def abscissa(params: ModelParams, beta: float) -> AbscissaReport:
     """Infimum Z_c of the lambda_[1] convergence domain, with the active bound.
 
     Z_c = max(log L - alpha*beta, composition boundary, P34(beta)); the report
@@ -202,13 +195,13 @@ def abscissa(params: ModelParams, beta: float, tol: float = DEFAULT_TOL) -> Absc
         raise ValueError("beta must be >= 0")
     geo = math.log(params.L) - params.alpha * beta
     floor = wing_pressure(params, beta)
-    wing = composition_boundary(params, beta, tol)
+    wing = composition_boundary(params, beta)
     candidates = [(geo, GEOMETRIC_ONE_FAMILY), (floor, PRESSURE_FLOOR)]
     if wing is not None:
         candidates.append((wing, WING_COMPOSITION))
     z_c, binding = max(candidates, key=lambda c: c[0])
     if binding == PRESSURE_FLOOR:
-        converges = composition_value_at_floor(params, beta, tol) < 1.0 and geo < floor
+        converges = composition_value_at_floor(params, beta) < 1.0 and geo < floor
     else:
         # Sigma1 diverges at its own boundary; Sigma2*Sigma3 hits 1 at the
         # composition boundary: either way the operator diverges at Z_c.

@@ -42,9 +42,12 @@ class TestConfig:
         code2, out2 = run(["critical", "--config", CFG])
         assert out != out2
 
-    def test_invalid_param_value_exits_2(self):
-        code, _ = run(["critical", "--alpha", "-3"])
-        assert code == EXIT_CONFIG
+    def test_invalid_param_value_exits_2(self, tmp_path):
+        for argv in (["critical", "--alpha", "-3"],
+                     ["curves", "--config", CFG, "--beta-start", "1", "--beta-stop", "0.5",
+                      "--out", str(tmp_path / "c.csv"), "--svg"]):
+            code, _ = run(argv)
+            assert code == EXIT_CONFIG, argv
 
 
 class TestCritical:
@@ -181,3 +184,12 @@ class TestSweep:
     def test_empty_values_exits_2(self):
         code, _ = run(["sweep", "--config", CFG, "--param", "L", "--values", ""])
         assert code == EXIT_CONFIG
+
+    def test_bad_values_exit_2_naming_the_value(self, capsys):
+        # a bad entry late in the list still stops the sweep before any row
+        for param, bad in (("delta", "abc"), ("delta", "1e400"), ("L", "0"), ("L", "2.5")):
+            code, out = run(["sweep", "--config", CFG, "--param", param,
+                             "--values", f"1,{bad}"])
+            assert code == EXIT_CONFIG, bad
+            assert out == ""
+            assert repr(bad) in capsys.readouterr().err

@@ -94,16 +94,17 @@ class TestSigma2:
         assert sigma2(REFERENCE, 0.5, 0.0).divergent
         assert not sigma2(REFERENCE, 1.0 + 1e-9, 0.0).divergent
 
+    # sigma2 is tail_sum(beta, Z); the tolerance is set on tail_sum itself
     def test_refinement_stability(self):
-        a = sigma2(REFERENCE, 1.5, 0.1, tol=1e-10)
-        b = sigma2(REFERENCE, 1.5, 0.1, tol=1e-14)
+        a = tail_sum(1.5, 0.1, 1e-10)
+        b = tail_sum(1.5, 0.1, 1e-14)
         assert abs(a.value - b.value) <= 1e-12
 
     def test_tail_certificate(self):
         # value computed at loose tolerance differs from a much finer run by
         # at most the reported tail bound
-        loose = sigma2(REFERENCE, 1.2, 0.35, tol=1e-6)
-        fine = sigma2(REFERENCE, 1.2, 0.35, tol=1e-15)
+        loose = tail_sum(1.2, 0.35, 1e-6)
+        fine = tail_sum(1.2, 0.35, 1e-15)
         assert abs(loose.value - fine.value) <= loose.tail_bound + 1e-15
 
 
@@ -155,9 +156,12 @@ class TestSigma3:
         assert b.value < a.value
 
     def test_refinement_stability(self):
-        z = wing_pressure(REFERENCE, 1.1) + 0.04
-        loose = sigma3(REFERENCE, 1.1, z, tol=1e-8)
-        fine = sigma3(REFERENCE, 1.1, z, tol=1e-14)
+        # the series part of sigma3, tail_sum(eps*beta, Z - P34(beta)), at two tolerances
+        beta = 1.1
+        z = wing_pressure(REFERENCE, beta) + 0.04
+        w = z - wing_pressure(REFERENCE, beta)
+        loose = tail_sum(REFERENCE.epsilon * beta, w, 1e-8)
+        fine = tail_sum(REFERENCE.epsilon * beta, w, 1e-14)
         assert abs(loose.value - fine.value) <= max(loose.tail_bound, fine.tail_bound)
 
     def test_asymptotic_matches_direct_across_switchover(self):
