@@ -51,8 +51,8 @@ class RunConfig:
             raise ConfigError(f"n_return must be in 1..{oracle.RAW_HORIZON_CAP}")
         if not (3 <= self.n_period <= oracle.PERIOD_CAP):
             raise ConfigError(f"n_period must be in 3..{oracle.PERIOD_CAP}")
-        if not (2 <= self.n_ln <= 20):
-            raise ConfigError("n_ln must be in 2..20")
+        if not (2 <= self.n_ln <= oracle.LN_CAP):
+            raise ConfigError(f"n_ln must be in 2..{oracle.LN_CAP}")
 
 
 _PARAM_KEYS = {"alpha": float, "gamma": float, "delta": float, "epsilon": float,
@@ -223,62 +223,24 @@ def cmd_equilibria(cfg: RunConfig, beta_star: float | None) -> int:
 
 
 def cmd_oracle(cfg: RunConfig, corrupt_edge: str | None) -> int:
-    params = cfg.params
     extra = []
     if corrupt_edge:
         a, _, b = corrupt_edge.partition(":")
         extra.append((a.strip(), b.strip()))
     try:
-        graph = build_graph(params, extra_edges=extra)
+        graph = build_graph(cfg.params, extra_edges=extra)
     except ValueError as exc:
         raise ConfigError(f"bad --corrupt-edge {corrupt_edge!r}: {exc}") from exc
-    failures = []
     print(f"{'check':<28} {'analytic':>22} {'oracle':>22} {'gap':>12} {'bound':>12}  status")
-
-    def report(name, analytic, enumerated, gap, bound, ok):
-        status = "ok" if ok else "FAIL"
-        if not ok:
-            failures.append(name)
-        print(f"{name:<28} {_fmt(analytic):>22} {_fmt(enumerated):>22} "
-              f"{gap:>12.3e} {bound:>12.3e}  {status}")
-
-    for n, enum, closed in oracle.check_Ln(params, 1.0, cfg.n_ln):
-        ok = abs(enum - closed) <= 1e-11 * abs(closed)
-        if not ok:
-            failures.append(f"L_n n={n}")
+    rows = oracle.verification_table(cfg.params, graph, cfg.n_return, cfg.n_period, cfg.n_ln)
+    ln_ok = all(r.ok for r in rows if r.name.startswith("L_n"))
     print(f"L_n closed form n=2..{cfg.n_ln}: "
-          + ("all exact (<=1e-11 relative)" if not any(f.startswith("L_n") for f in failures)
-             else "MISMATCH"))
-
-    crit = critical.critical_set(params)
-    betas = [0.25, 0.5] if crit.beta_hi > 0.6 else [0.5 * crit.beta_hi]
-    pressures = {b: critical.pressure_full(params, b) for b in betas}
-    for b in betas:
-        Z = pressures[b] + 0.2
-        cmp1 = oracle.enumerate_returns_to_1(params, b, Z, cfg.n_return, graph=graph)
-        report(f"returns_to_1 beta={b:g}", cmp1.analytic, cmp1.enumerated_partial,
-               cmp1.gap, cmp1.certified_tail, cmp1.consistent)
-        Z32 = max(critical.pressure_34(params, b) + 0.3,
-                  oracle.abscissa_32(params, b) + 0.2)
-        n32 = min(cfg.n_return, 20)
-        cmp2 = oracle.enumerate_returns_to_32(params, b, Z32, n32, graph=graph)
-        report(f"returns_to_32 beta={b:g}", cmp2.analytic, cmp2.enumerated_partial,
-               cmp2.gap, cmp2.certified_tail, cmp2.consistent)
-
-    h_full = oracle.incidence_entropy(graph)
-    p_full0 = critical.pressure_full(params, 0.0)
-    report("entropy vs P(0)", p_full0, h_full, p_full0 - h_full, 1e-8,
-           abs(p_full0 - h_full) <= 1e-8)
-    h_mid = oracle.incidence_entropy(graph, restrict_to=oracle.no_one_family(graph))
-    p_mid0 = critical.pressure_mid(params, 0.0)
-    report("entropy vs P_mid(0)", p_mid0, h_mid, p_mid0 - h_mid, 1e-8,
-           abs(p_mid0 - h_mid) <= 1e-8)
-
-    b = betas[-1]  # 0.5, or half of beta_hi when that is below 0.6
-    rich = oracle.richardson_orbit_pressure(params, b, cfg.n_period, graph=graph)
-    P = pressures[b]
-    report(f"periodic orbits beta={b:g}", P, rich, P - rich, 0.02, abs(P - rich) <= 0.02)
-
+          + (f"all exact (<={oracle.LN_RTOL:g} relative)" if ln_ok else "MISMATCH"))
+    for r in rows:
+        if not r.name.startswith("L_n"):
+            print(f"{r.name:<28} {_fmt(r.analytic):>22} {_fmt(r.oracle):>22} "
+                  f"{r.gap:>12.3e} {r.bound:>12.3e}  {'ok' if r.ok else 'FAIL'}")
+    failures = [r.name for r in rows if not r.ok]
     if failures:
         print(f"FAIL ({len(failures)} checks): " + ", ".join(failures))
         return EXIT_ORACLE_FAIL

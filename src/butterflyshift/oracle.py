@@ -1,4 +1,6 @@
-"""Independent brute-force verifiers for the analytic formulas.
+"""Independent brute-force verifiers for the analytic formulas, and
+`verification_table`: every check of the `oracle` command, with its probe
+points, horizons and tolerances; the command only prints its records.
 
 Return-word enumeration runs on one engine, "dp": a walk over the transition
 graph with weight-equivalent paths aggregated by (symbol kind, current run
@@ -15,10 +17,12 @@ and periodic-orbit pressure as the trace of a run-length transfer matrix.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import critical
 from .model import (
     FOUR,
     FOUR_P,
@@ -41,12 +45,21 @@ from .spectral import (
 )
 
 RAW_HORIZON_CAP = 30
+RETURN_32_HORIZON = 20  # the table's [32] rows enumerate at most this many steps
+LN_CAP = 20
 # the periodic-orbit transfer matrix has n * |alphabet| states (auxiliaries
 # lumped into one): n <= 14 keeps it under 100 states in variant B.  The cap
 # also bounds the accepted n_period range (3..14).
 PERIOD_CAP = 14
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 20000
+
+# tolerances of the verification table: the slack around a certified gap,
+# the relative L_n check, the entropy identities and the periodic-orbit row
+CONSISTENCY_SLACK = 1e-10
+LN_RTOL = 1e-11
+ENTROPY_TOL = 1e-8
+PERIODIC_TOL = 0.02
 
 
 @dataclass(frozen=True)
@@ -65,143 +78,121 @@ class OracleComparison:
 
     @property
     def consistent(self) -> bool:
-        return -1e-10 <= self.gap <= self.certified_tail + 1e-10
+        return -CONSISTENCY_SLACK <= self.gap <= self.certified_tail + CONSISTENCY_SLACK
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of the verification table: gap = analytic - oracle."""
+
+    name: str
+    analytic: float
+    oracle: float
+    gap: float
+    bound: float
+    ok: bool
 
 
 # ---------------------------------------------------------------------------
 # aggregated graph-walk engine
 
-def _weights(params: ModelParams, beta: float):
-    return (math.exp(-params.alpha * beta),
-            math.exp(params.gamma * beta),
-            math.exp((params.gamma + params.delta) * beta))
-
-
-def _wing_family(sym: str) -> tuple[str, str]:
-    return (THREE, FOUR) if sym in (THREE, FOUR) else (THREE_P, FOUR_P)
-
-
-def _two_step_flags(graph: TransitionGraph) -> tuple[bool, bool, tuple[str, ...]]:
-    """allowed(2, 1), allowed(2, 2), and the wing entries 3 / 3' a 2 may step to."""
-    return (graph.allowed(TWO, ONE), graph.allowed(TWO, TWO),
-            tuple(w for w in (THREE, THREE_P) if graph.allowed(TWO, w)))
-
-
-def dp_partial_returns_to_1(graph: TransitionGraph, params: ModelParams,
-                            beta: float, Z: float, N: int) -> list[float]:
-    """Per-tau first-return mass to [1]; exact aggregation of the literal walk.
+def _return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
+                 Z: float, N: int, target: str) -> list[float]:
+    """Per-tau first-return mass to [1] (target ONE) or [32] (target THREE).
 
     State = (kind, current run length); the stored mass carries the weight
     the paths would have if their current run closed right here, so each
-    edge multiplies by an exact incremental potential factor.  The auxiliary
-    symbols share one state, stepped through the first of them.
+    edge multiplies by an exact incremental potential factor.  The 2-runs
+    and the wing runs step alike for both targets.
+
+    [1]: the walk leaves 1 and returns on a step from an auxiliary or a 2
+    into 1; the auxiliary symbols share one state, stepped through the first
+    of them.
+
+    [32]: the walk starts on the head 3,2 and stays off the 1-family.  A path
+    standing on an unprimed 3 is one admissible step away from the re-entry
+    pattern 3,2, so it finalizes there (with the head factor of the next
+    cylinder divided back out); the unprimed 3 -> 2 edge is consumed by that
+    return and never continues a path.
     """
     eZ = math.exp(-Z)
-    w_one, w3, w4 = _weights(params, beta)
+    w_one, w3, w4 = (math.exp(-params.alpha * beta), math.exp(params.gamma * beta),
+                     math.exp((params.gamma + params.delta) * beta))
     eb = params.epsilon * beta
-    n_aux = sum(1 for s in graph.successors(ONE) if is_aux(s))
-    aux = next((s for s in graph.alphabet if is_aux(s)), None)
-    aux_to_one = aux is not None and graph.allowed(aux, ONE)
-    n_a = 0 if aux is None else sum(1 for s in graph.successors(aux) if is_aux(s))
-    two_to_one, two_to_two, two_to_wings = _two_step_flags(graph)
+    two_to_two = graph.allowed(TWO, TWO)
+    two_to_wings = tuple(w for w in (THREE, THREE_P) if graph.allowed(TWO, w))
     out = [0.0] * (N + 1)
-    start = w_one * eZ
-    if graph.allowed(ONE, ONE):
-        out[1] += start
     cur: dict[tuple, float] = {}
-    if n_aux:
-        cur[("aux",)] = start * n_aux * w_one * eZ
-    if graph.allowed(ONE, TWO):
-        cur[("two", 1)] = start * 2.0 ** (-beta) * eZ
+    two_to_one, blocked, finalize = False, None, None
+    if target == ONE:
+        start = w_one * eZ
+        if graph.allowed(ONE, ONE):
+            out[1] += start
+        n_aux = sum(1 for s in graph.successors(ONE) if is_aux(s))
+        aux = next((s for s in graph.alphabet if is_aux(s)), None)
+        aux_to_one = aux is not None and graph.allowed(aux, ONE)
+        n_a = 0 if aux is None else sum(1 for s in graph.successors(aux) if is_aux(s))
+        two_to_one = graph.allowed(TWO, ONE)
+        if n_aux:
+            cur[("aux",)] = start * n_aux * w_one * eZ
+        if graph.allowed(ONE, TWO):
+            cur[("two", 1)] = start * 2.0 ** (-beta) * eZ
+    else:  # no auxiliary state is ever entered
+        blocked = THREE
+        finalize = math.exp(-params.gamma * beta) * 2.0 ** eb * math.exp(Z)
+        if graph.allowed(THREE, TWO):
+            head = w3 * 2.0 ** (-eb) * eZ
+            cur[("two", 1)] = head * 2.0 ** (-beta) * eZ
     for tau in range(2, N + 1):
-        nxt: dict[tuple, float] = {}
-
-        def put(state: tuple, v: float) -> None:
-            nxt[state] = nxt.get(state, 0.0) + v
-
+        nxt: defaultdict[tuple, float] = defaultdict(float)
         for state, v in cur.items():
             kind = state[0]
             if kind == "aux":
                 if aux_to_one:
                     out[tau] += v
                 if n_a:
-                    put(("aux",), v * n_a * w_one * eZ)
+                    nxt[("aux",)] += v * n_a * w_one * eZ
             elif kind == "two":
                 n = state[1]
                 if two_to_one:
                     out[tau] += v
                 if two_to_two:
-                    put(("two", n + 1), v * ((n + 2.0) / (n + 1.0)) ** (-beta) * eZ)
+                    nxt[("two", n + 1)] += v * ((n + 2.0) / (n + 1.0)) ** (-beta) * eZ
                 for wsym in two_to_wings:
-                    put(("wing", 1, wsym), v * w3 * 2.0 ** (-eb) * eZ)
+                    nxt[("wing", 1, wsym)] += v * w3 * 2.0 ** (-eb) * eZ
             else:
                 m, sym = state[1], state[2]
-                lo, hi = _wing_family(sym)
+                lo, hi = (THREE, FOUR) if sym in (THREE, FOUR) else (THREE_P, FOUR_P)
                 ratio = ((m + 1.0) / (m + 2.0)) ** eb
                 for tgt in graph.successors(sym):
                     if tgt == lo:
-                        put(("wing", m + 1, tgt), v * w3 * ratio * eZ)
+                        nxt[("wing", m + 1, tgt)] += v * w3 * ratio * eZ
                     elif tgt == hi:
-                        put(("wing", m + 1, tgt), v * w4 * ratio * eZ)
-                    elif tgt == TWO:
-                        put(("two", 1), v * 2.0 ** (-beta) * eZ)
+                        nxt[("wing", m + 1, tgt)] += v * w4 * ratio * eZ
+                    elif tgt == TWO and sym != blocked:
+                        nxt[("two", 1)] += v * 2.0 ** (-beta) * eZ
+        if finalize is not None:
+            for state, v in nxt.items():
+                if state[0] == "wing" and state[2] == THREE:
+                    out[tau] += v * finalize
         cur = nxt
     return out
+
+
+def dp_partial_returns_to_1(graph: TransitionGraph, params: ModelParams,
+                            beta: float, Z: float, N: int) -> list[float]:
+    """Per-tau first-return mass to [1]; exact aggregation of the literal walk."""
+    return _return_walk(graph, params, beta, Z, N, ONE)
 
 
 def dp_partial_returns_to_32(graph: TransitionGraph, params: ModelParams,
                              beta: float, Z: float, N: int) -> list[float]:
-    """Per-tau first-return mass to [32]; the walk stays off the 1-family.
-
-    A path standing on an unprimed 3 is one admissible step away from the
-    re-entry pattern 3,2, so it finalizes there (with the head factor of the
-    next cylinder divided back out); the unprimed 3 -> 2 edge is consumed by
-    that return and never continues a path.
-    """
-    eZ = math.exp(-Z)
-    _, w3, w4 = _weights(params, beta)
-    eb = params.epsilon * beta
-    _, two_to_two, two_to_wings = _two_step_flags(graph)
-    out = [0.0] * (N + 1)
-    finalize = math.exp(-params.gamma * beta) * 2.0 ** eb * math.exp(Z)
-    cur: dict[tuple, float] = {}
-    if graph.allowed(THREE, TWO):
-        head = w3 * 2.0 ** (-eb) * eZ
-        cur[("two", 1)] = head * 2.0 ** (-beta) * eZ
-    for t in range(3, N + 2):
-        nxt: dict[tuple, float] = {}
-
-        def put(state: tuple, v: float) -> None:
-            nxt[state] = nxt.get(state, 0.0) + v
-
-        for state, v in cur.items():
-            if state[0] == "two":
-                n = state[1]
-                if two_to_two:
-                    put(("two", n + 1), v * ((n + 2.0) / (n + 1.0)) ** (-beta) * eZ)
-                for wsym in two_to_wings:
-                    put(("wing", 1, wsym), v * w3 * 2.0 ** (-eb) * eZ)
-            else:
-                m, sym = state[1], state[2]
-                lo, hi = _wing_family(sym)
-                ratio = ((m + 1.0) / (m + 2.0)) ** eb
-                for tgt in graph.successors(sym):
-                    if tgt == lo:
-                        put(("wing", m + 1, tgt), v * w3 * ratio * eZ)
-                    elif tgt == hi:
-                        put(("wing", m + 1, tgt), v * w4 * ratio * eZ)
-                    elif tgt == TWO and sym != THREE:
-                        put(("two", 1), v * 2.0 ** (-beta) * eZ)
-        if t - 1 <= N:
-            for state, v in nxt.items():
-                if state[0] == "wing" and state[2] == THREE:
-                    out[t - 1] += v * finalize
-        cur = nxt
-    return out
+    """Per-tau first-return mass to [32]; the walk stays off the 1-family."""
+    return _return_walk(graph, params, beta, Z, N, THREE)
 
 
-def _renewal_tail_bound(params: ModelParams, beta: float, Z: float, N: int,
-                        z_floor: float, lam_of) -> float:
+def _renewal_tail_bound(lam_fn, params: ModelParams, beta: float, Z: float,
+                        N: int, z_floor: float) -> float:
     """Bound on the mass of return words longer than N.
 
     For any Z' between the convergence abscissa and Z the per-length masses
@@ -212,61 +203,47 @@ def _renewal_tail_bound(params: ModelParams, beta: float, Z: float, N: int,
     best = math.inf
     for frac in (0.25, 0.5, 0.75):
         z_probe = z_floor + frac * (Z - z_floor)
-        lam = lam_of(z_probe)
-        if lam is None or not math.isfinite(lam):
+        lam = lam_fn(params, beta, z_probe)
+        if not lam.defined or not math.isfinite(lam.value):
             continue
         dz = Z - z_probe
-        best = min(best, lam * math.exp(-(N + 1) * dz) / (1.0 - math.exp(-dz)))
+        best = min(best, lam.value * math.exp(-(N + 1) * dz) / (1.0 - math.exp(-dz)))
     return best
+
+
+def _compare_returns(params: ModelParams, beta: float, Z: float, N: int,
+                     graph: TransitionGraph | None, target: str) -> OracleComparison:
+    """The dp walk's first-return mass to [1] or [32] against the analytic lambda."""
+    if graph is None:
+        graph = build_graph(params)
+    if target == ONE:
+        cyl, z_floor, lam_fn = "1", abscissa(params, beta).Z_c, _lambda_1
+    else:
+        cyl, z_floor, lam_fn = "32", abscissa_32(params, beta), _lambda_32
+    if Z <= z_floor:
+        raise ValueError(f"Z={Z} is not inside the [{cyl}] convergence domain (Z_c={z_floor})")
+    if N > RAW_HORIZON_CAP:
+        raise ValueError(f"graph-walk enumeration capped at N={RAW_HORIZON_CAP}")
+    per_tau = _return_walk(graph, params, beta, Z, N, target)
+    lam = lam_fn(params, beta, Z)
+    if not lam.defined:
+        raise ValueError(f"lambda_{cyl} undefined at the requested point")
+    partial = math.fsum(per_tau)
+    tail = _renewal_tail_bound(lam_fn, params, beta, Z, N, z_floor)
+    return OracleComparison(lam.value, partial, lam.value - partial, tail)
 
 
 def enumerate_returns_to_1(params: ModelParams, beta: float, Z: float, N: int,
                            graph: TransitionGraph | None = None) -> OracleComparison:
-    """Exhaustive first-return enumeration to [1] vs. the analytic lambda.
-
-    The (beta, Z) point must lie strictly inside the convergence domain.
-    Runs on the graph-walk ("dp") engine, N <= 30.
-    """
-    if graph is None:
-        graph = build_graph(params)
-    rep = abscissa(params, beta)
-    if Z <= rep.Z_c:
-        raise ValueError(f"Z={Z} is not inside the convergence domain (Z_c={rep.Z_c})")
-    if N > RAW_HORIZON_CAP:
-        raise ValueError(f"graph-walk enumeration capped at N={RAW_HORIZON_CAP}")
-    per_tau = dp_partial_returns_to_1(graph, params, beta, Z, N)
-    lam = _lambda_1(params, beta, Z)
-    if not lam.defined:
-        raise ValueError("lambda_1 undefined at the requested point")
-    partial = math.fsum(per_tau)
-    tail = _renewal_tail_bound(
-        params, beta, Z, N, rep.Z_c,
-        lambda z: (lambda s: s.value if s.defined else None)(_lambda_1(params, beta, z)))
-    return OracleComparison(lam.value, partial, lam.value - partial, tail)
+    """First-return enumeration to [1] (dp engine, N <= 30) vs. lambda_1 at a
+    (beta, Z) strictly inside its convergence domain."""
+    return _compare_returns(params, beta, Z, N, graph, ONE)
 
 
 def enumerate_returns_to_32(params: ModelParams, beta: float, Z: float, N: int,
                             graph: TransitionGraph | None = None) -> OracleComparison:
-    """Exhaustive first-return enumeration to [32] vs. the analytic lambda.
-
-    Runs on the graph-walk ("dp") engine only.
-    """
-    if graph is None:
-        graph = build_graph(params)
-    z_floor = abscissa_32(params, beta)
-    if Z <= z_floor:
-        raise ValueError(f"Z={Z} is not inside the [32] convergence domain (Z_c={z_floor})")
-    if N > RAW_HORIZON_CAP:
-        raise ValueError(f"graph-walk enumeration capped at N={RAW_HORIZON_CAP}")
-    per_tau = dp_partial_returns_to_32(graph, params, beta, Z, N)
-    lam = _lambda_32(params, beta, Z)
-    if not lam.defined:
-        raise ValueError("lambda_32 undefined at the requested point")
-    partial = math.fsum(per_tau)
-    tail = _renewal_tail_bound(
-        params, beta, Z, N, z_floor,
-        lambda z: (lambda s: s.value if s.defined else None)(_lambda_32(params, beta, z)))
-    return OracleComparison(lam.value, partial, lam.value - partial, tail)
+    """First-return enumeration to [32] (dp engine, N <= 30) vs. lambda_32."""
+    return _compare_returns(params, beta, Z, N, graph, THREE)
 
 
 def abscissa_32(params: ModelParams, beta: float) -> float:
@@ -284,25 +261,26 @@ def abscissa_32(params: ModelParams, beta: float) -> float:
 
 def check_Ln(params: ModelParams, beta: float, n_max: int) -> list[tuple[int, float, float]]:
     """Enumerate all wing words w in {3,4}^n with w_0 = w_{n-1} = 3 and compare
-    the per-symbol weight sum against e^(n*beta*gamma) (1+e^(beta*delta))^(n-2).
+    the per-symbol weight sum against the closed form.
 
-    Exact for every n >= 2 (this pins the wing combinatorics and the
-    normalization of the block series).  The length-n weights are built from
-    the length-(n-1) ones, one entry per word and no word counted by a
-    binomial shortcut.
+    Every word weight is scaled by e^-(n*beta*gamma + (n-2)*beta*delta), the
+    weight of the heaviest word, so the closed form is (1+e^(-beta*delta))^(n-2)
+    and no weight overflows at large gamma or delta.  Exact for every n >= 2
+    (this pins the wing combinatorics and the normalization of the block
+    series).  The length-n weights are built from the length-(n-1) ones, one
+    entry per word and no word counted by a binomial shortcut.
     """
-    if n_max > 20:
-        raise ValueError("check_Ln capped at n_max=20")
+    if n_max > LN_CAP:
+        raise ValueError(f"check_Ln capped at n_max={LN_CAP}")
     rows = []
-    g, d = params.gamma, params.delta
-    e3, e4 = math.exp(beta * g), math.exp(beta * (g + d))
-    weights = np.array([e3 * e3])  # the word 3,3
+    e3 = math.exp(-beta * params.delta)  # a 3 where the heaviest word has a 4
+    weights = np.array([1.0])  # the word 3,3
     for n in range(2, n_max + 1):
         if n > 2:
             # each length-(n-1) word with a 3 or a 4 put in before its last 3
-            weights = np.concatenate([weights * e3, weights * e4])
+            weights = np.concatenate([weights * e3, weights])
         enumerated = float(weights.sum())
-        closed = math.exp(n * beta * g) * (1.0 + math.exp(beta * d)) ** (n - 2)
+        closed = (1.0 + e3) ** (n - 2)
         rows.append((n, enumerated, closed))
     return rows
 
@@ -371,8 +349,11 @@ def periodic_orbit_pressure(params: ModelParams, beta: float, n: int,
     stays at d' = 0 in the same class.  A closed walk of length n therefore
     fixes every distance of its cyclic word, and each period-n point has
     exactly one such walk: the trace equals the sum over points.  Entering a
-    state multiplies by exp(beta * phi(symbol, d)); the weight-identical
-    auxiliary symbols are lumped into one state of multiplicity L.
+    state multiplies by exp(beta * (phi(symbol, d) - top)), where top is the
+    largest state potential (gamma + delta once a 4 is present), and
+    beta * top is added back to the logarithm, so no weight overflows; the
+    weight-identical auxiliary symbols are lumped into one state of
+    multiplicity L.
     """
     if n > PERIOD_CAP:
         raise ValueError(f"periodic_orbit_pressure capped at n={PERIOD_CAP}")
@@ -396,12 +377,13 @@ def periodic_orbit_pressure(params: ModelParams, beta: float, n: int,
                     M[i, d, j, d - 1] = 1.0
             else:
                 M[i, 1:2, j, 1:] = 1.0  # a slice: at n = 1 there is no d = 1
-    weight = np.array([[(params.L if s == aux else 1.0)
-                        * math.exp(beta * _state_potential(params, s, d))
-                        for d in range(n)] for s in rep])
+    phi = [[_state_potential(params, s, d) for d in range(n)] for s in rep]
+    top = max(map(max, phi))
+    weight = np.array([[(params.L if s == aux else 1.0) * math.exp(beta * (p - top))
+                        for p in row] for s, row in zip(rep, phi)])
     M *= weight  # over the last two axes: the state entered
     M = M.reshape(k * n, k * n)
-    return math.log(float(np.trace(np.linalg.matrix_power(M, n)))) / n
+    return math.log(float(np.trace(np.linalg.matrix_power(M, n)))) / n + beta * top
 
 
 def richardson_orbit_pressure(params: ModelParams, beta: float, n: int,
@@ -410,3 +392,50 @@ def richardson_orbit_pressure(params: ModelParams, beta: float, n: int,
     p_n = periodic_orbit_pressure(params, beta, n, graph)
     p_m = periodic_orbit_pressure(params, beta, n - 2, graph)
     return (n * p_n - (n - 2) * p_m) / 2.0
+
+
+# ---------------------------------------------------------------------------
+# the verification table
+
+def _check(name: str, analytic: float, oracle: float, bound: float) -> Check:
+    """A row whose oracle must match the analytic value to within +-bound."""
+    gap = analytic - oracle
+    return Check(name, analytic, oracle, gap, bound, abs(gap) <= bound)
+
+
+def _certified(name: str, cmp: OracleComparison) -> Check:
+    return Check(name, cmp.analytic, cmp.enumerated_partial, cmp.gap,
+                 cmp.certified_tail, cmp.consistent)
+
+
+def verification_table(params: ModelParams, graph: TransitionGraph, n_return: int,
+                        n_period: int, n_ln: int) -> list[Check]:
+    """Every check of the `oracle` command, in the order it prints them.
+
+    The wing-word counts at beta = 1 (rows "L_n n=..."); the return masses to
+    [1] and [32] on `graph` at beta = 0.25 and 0.5, or at beta_hi / 2 alone
+    when beta_hi <= 0.6; the beta = 0 entropies; and the Richardson
+    periodic-orbit estimate at the last of those betas.
+    """
+    rows = [_check(f"L_n n={n}", closed, enum, LN_RTOL * abs(closed))
+            for n, enum, closed in check_Ln(params, 1.0, n_ln)]
+    crit = critical.critical_set(params)
+    betas = [0.25, 0.5] if crit.beta_hi > 0.6 else [0.5 * crit.beta_hi]
+    pressures = {b: critical.pressure_full(params, b) for b in betas}
+    for b in betas:
+        cmp1 = enumerate_returns_to_1(params, b, pressures[b] + 0.2, n_return, graph=graph)
+        rows.append(_certified(f"returns_to_1 beta={b:g}", cmp1))
+        Z32 = max(critical.pressure_34(params, b) + 0.3, abscissa_32(params, b) + 0.2)
+        cmp2 = enumerate_returns_to_32(params, b, Z32, min(n_return, RETURN_32_HORIZON),
+                                       graph=graph)
+        rows.append(_certified(f"returns_to_32 beta={b:g}", cmp2))
+    rows.append(_check("entropy vs P(0)", critical.pressure_full(params, 0.0),
+                       incidence_entropy(graph), ENTROPY_TOL))
+    rows.append(_check("entropy vs P_mid(0)", critical.pressure_mid(params, 0.0),
+                       incidence_entropy(graph, restrict_to=no_one_family(graph)),
+                       ENTROPY_TOL))
+    b = betas[-1]
+    rows.append(_check(f"periodic orbits beta={b:g}", pressures[b],
+                       richardson_orbit_pressure(params, b, n_period, graph=graph),
+                       PERIODIC_TOL))
+    return rows

@@ -85,10 +85,12 @@ def newton_log_offset(F: Callable[[float], tuple[float, float]], floor: float) -
         dt = -log(F) / (dF/dZ * w / F),    w' = w * e^dt,
 
     and bisects in t instead when F is +inf, the slope is not a finite
-    negative number, or the step leaves the open bracket.  It stops when
-    floor + w_lo and floor + w_hi are adjacent doubles, or when a Newton step
-    no longer moves Z.  A bisection midpoint that rounds to the Z of a
-    bracket end takes that end's place without a new evaluation.
+    negative number, or the step leaves the open bracket.  When a Newton step
+    no longer moves Z it returns the point the step was taken from, with that
+    point's residual.  Otherwise it stops when floor + w_lo and floor + w_hi
+    are adjacent doubles and returns the end nearer F = 1.  A bisection
+    midpoint that rounds to the Z of a bracket end takes that end's place
+    without a new evaluation.
 
     The floor rule, the first upper end (w = 1, grown by 4x until F <= 1) and
     the residual (value - 1) are those of `bisect_log_offset`; the bracket is
@@ -118,7 +120,8 @@ def newton_log_offset(F: Callable[[float], tuple[float, float]], floor: float) -
             if dlog < 0.0:
                 w_new = w * math.exp(min(-math.log(value) / dlog, 700.0))
         if lo[0] <= w_new <= hi[0] and floor + w_new == z:
-            break                             # the step no longer moves Z
+            # the step no longer moves Z: this point is the root
+            return RootResult(w, value - 1.0, (lo[0], hi[0]))
         if not lo[0] < w_new < hi[0]:
             w_new = math.exp(0.5 * (math.log(lo[0]) + math.log(hi[0])))
             if w_new in (lo[0], hi[0]):

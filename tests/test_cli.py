@@ -153,6 +153,13 @@ class TestOracleCmd:
         assert out.strip().endswith("PASS")
         assert elapsed < 3.0, f"oracle --L 2000 took {elapsed:.2f} s"
 
+    def test_large_gamma_or_delta_passes(self):
+        # the wing-word and periodic-orbit weights used to overflow here
+        for flags in (["--delta", "40"], ["--delta", "200"], ["--gamma", "800"]):
+            code, out = run(["oracle", "--config", CFG] + flags)
+            assert code == EXIT_OK, flags
+            assert out.strip().endswith("PASS")
+
     def test_malformed_corrupt_edge_exits_2(self, capsys):
         # a mistyped negative control must not pass for one that failed
         for edge in ("x:y", "4"):

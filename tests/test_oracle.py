@@ -18,6 +18,7 @@ from butterflyshift.oracle import (
     no_one_family,
     periodic_orbit_pressure,
     richardson_orbit_pressure,
+    verification_table,
 )
 
 from conftest import assert_close
@@ -34,17 +35,19 @@ PARAMS_B = ModelParams(1.0, 0.5, 1.0, 1.0, 1, "B")
 
 
 class TestCheckLn:
+    # every weight is scaled by e^-(n*beta*gamma + (n-2)*beta*delta)
+
     def test_n2_single_word(self):
         rows = check_Ln(REFERENCE, 1.3, 2)
         n, enum, closed = rows[0]
         assert n == 2
-        assert_close(enum, math.exp(2 * 1.3 * 0.5), 1e-13)
+        assert_close(enum, 1.0, 1e-13)
         assert_close(enum, closed, 1e-13)
 
     def test_n3_two_words(self):
         rows = check_Ln(REFERENCE, 0.9, 3)
         _, enum, closed = rows[-1]
-        expect = math.exp(3 * 0.9 * 0.5) * (1.0 + math.exp(0.9 * 1.0))
+        expect = math.exp(-0.9 * 1.0) + 1.0
         assert_close(enum, expect, 1e-12)
         assert_close(enum, closed, 1e-12)
 
@@ -67,8 +70,16 @@ class TestCheckLn:
                         (ModelParams(2.0, 1.5, 0.4, 2.0), 1.7)]:
             for n, enum, _ in check_Ln(p, beta, 16):
                 ones = np.array([bin(i).count("1") for i in range(1 << (n - 2))], dtype=float)
-                ref = math.fsum(np.exp(beta * (n * p.gamma + p.delta * ones)))
+                ref = math.fsum(np.exp(-beta * p.delta * (n - 2 - ones)))
                 assert abs(enum - ref) <= 1e-13 * ref, (p, n)
+
+    @pytest.mark.parametrize("params", [ModelParams(1.0, 0.5, 200.0, 1.0),
+                                        ModelParams(1.0, 800.0, 1.0, 1.0)],
+                             ids=["delta=200", "gamma=800"])
+    def test_large_weights_do_not_overflow(self, params):
+        # unscaled, the heaviest n = 20 word weighs e^(20*gamma + 18*delta)
+        for n, enum, closed in check_Ln(params, 1.0, 20):
+            assert math.isfinite(enum) and abs(enum - closed) <= 1e-11 * closed, n
 
     def test_row_count_at_full_horizon(self):
         rows = check_Ln(REFERENCE, 1.0, 20)
@@ -340,7 +351,10 @@ class TestPeriodicOrbits:
                     got = math.exp(n * periodic_orbit_pressure(p, beta, n, graph=g))
                     assert_close(got, expect, 1e-13 * expect, f"L={L} n={n} beta={beta}")
 
-    @pytest.mark.parametrize("params", [REFERENCE, PARAMS_B], ids=["A", "B"])
+    # unscaled, e^(beta*phi) overflows the trace once gamma + delta >~ 118
+    @pytest.mark.parametrize("params", [REFERENCE, PARAMS_B, ModelParams(1.0, 0.5, 200.0, 1.0),
+                                        ModelParams(1.0, 800.0, 1.0, 1.0, 3, "B")],
+                             ids=["A", "B", "delta=200", "gamma=800"])
     def test_trace_matches_mpmath_at_n12(self, params):
         pytest.importorskip("mpmath")
         g = build_graph(params)
@@ -360,3 +374,56 @@ class TestPeriodicOrbits:
             expect = float(np.trace(np.linalg.matrix_power(A, n)))
             got = math.exp(n * periodic_orbit_pressure(p, 0.0, n, graph=g))
             assert_close(got, expect, 1e-12 * expect, f"n={n}")
+
+
+REFERENCE_ROWS = ([f"L_n n={n}" for n in range(2, 21)]
+                  + ["returns_to_1 beta=0.25", "returns_to_32 beta=0.25",
+                     "returns_to_1 beta=0.5", "returns_to_32 beta=0.5",
+                     "entropy vs P(0)", "entropy vs P_mid(0)", "periodic orbits beta=0.5"])
+
+
+# (analytic, oracle) of the reference table's named rows: they pin the probe
+# betas, the Z offsets and the horizons of each row
+REFERENCE_VALUES = {
+    "returns_to_1 beta=0.25": (0.397857984697116, 0.397567331954415),
+    "returns_to_32 beta=0.25": (0.177082177591691, 0.176770434195023),
+    "returns_to_1 beta=0.5": (0.203754749998175, 0.203722714880305),
+    "returns_to_32 beta=0.5": (0.0627371763217946, 0.062679517075179),
+    "entropy vs P(0)": (1.00505253874238, 1.00505253874235),
+    "entropy vs P_mid(0)": (0.881373587019543, 0.881373587019524),
+    "periodic orbits beta=0.5": (1.22899938739848, 1.23153981594217),
+}
+
+
+class TestVerificationTable:
+    def test_reference_rows_all_ok_in_printed_order(self):
+        rows = verification_table(REFERENCE, build_graph(REFERENCE), 22, 12, 20)
+        assert [r.name for r in rows] == REFERENCE_ROWS
+        for r in rows:
+            assert r.ok, r
+            assert r.gap == r.analytic - r.oracle
+            assert abs(r.gap) <= r.bound
+            if r.name in REFERENCE_VALUES:
+                analytic, oracle = REFERENCE_VALUES[r.name]
+                assert_close(r.analytic, analytic, 1e-14 * analytic, r.name)
+                assert_close(r.oracle, oracle, 1e-14 * oracle, r.name)
+
+    def test_negative_control_fails_every_certified_row(self):
+        graph = build_graph(REFERENCE, extra_edges=[("4", "2")])
+        rows = verification_table(REFERENCE, graph, 22, 12, 20)
+        assert [r.name for r in rows] == REFERENCE_ROWS
+        certified = [r for r in rows if r.name.startswith(("returns_to_", "entropy"))]
+        assert len(certified) == 6
+        for r in certified:
+            assert not r.ok, r
+        # the wing words never touch a 2: the extra 4 -> 2 edge leaves them exact
+        assert all(r.ok for r in rows if r.name.startswith("L_n"))
+
+    def test_low_beta_hi_probes_half_of_it(self):
+        # beta_hi <= 0.6: one probe beta at beta_hi / 2, the periodic row there too
+        p = ModelParams(3.0, 0.2, 0.5, 3.5, 2)
+        rows = verification_table(p, build_graph(p), 16, 8, 12)
+        names = [r.name for r in rows if not r.name.startswith("L_n")]
+        assert len(rows) - len(names) == 11
+        assert names[0].startswith("returns_to_1 beta=") and len(names) == 5
+        assert names[0].split("=")[1] == names[-1].split("=")[1]

@@ -133,6 +133,21 @@ class TestNewtonLogOffset:
         with pytest.raises(ArithmeticError, match="bracket cap"):
             newton_log_offset(lambda z: (2.0, 0.0), 0.0)
 
+    def test_stalled_step_returns_its_own_point(self):
+        # the root sits a few ulps above P34, where lambda_1 falls from +inf
+        # steeply; the last Newton step from the lower end rounds onto the
+        # same Z, and that point, not the far upper end (w = 0.0342, residual
+        # -0.919), is the pressure
+        p = ModelParams(0.9858710416781561, 0.4921512295616759, 1.0004853161882896,
+                        1.0035326687476418, 1, "A")
+        beta = 0.932906843559
+        P = pressure_full(p, beta)
+        assert P - pressure_34(p, beta) < 1e-14
+        above = spectral.lambda_1(p, beta, P * (1.0 - 1e-10))
+        below = spectral.lambda_1(p, beta, P * (1.0 + 1e-10))
+        assert not above.defined or above.value > 1.0
+        assert below.defined and below.value < 1.0
+
 
 class TestDerivatives:
     @pytest.mark.parametrize("params", [REFERENCE, PARAMS_B], ids=["A", "B"])
