@@ -4,9 +4,10 @@ points, horizons and tolerances; the command only prints its records.
 
 Return-word enumeration runs on one engine, "dp": a walk over the transition
 graph with weight-equivalent paths aggregated by (symbol kind, current run
-length).  It is exact, linear in the horizon, and driven edge-by-edge by the
-graph, so a corrupted edge set changes its output; the acceptance suite and
-the `oracle` command run it.  The test suite keeps the rawer reference
+length), held in arrays indexed by run length.  It is exact, takes one array
+operation per allowed edge and step, and is driven edge-by-edge by the graph,
+so a corrupted edge set changes its output; the acceptance suite and the
+`oracle` command run it.  The test suite keeps the rawer reference
 engines it is checked against (literal word enumeration, run-length
 convolution, depth-first periodic-point enumeration).
 
@@ -17,7 +18,6 @@ and periodic-orbit pressure as the trace of a run-length transfer matrix.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,30 +100,39 @@ def _return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
                  Z: float, N: int, target: str) -> list[float]:
     """Per-tau first-return mass to [1] (target ONE) or [32] (target THREE).
 
-    State = (kind, current run length); the stored mass carries the weight
-    the paths would have if their current run closed right here, so each
-    edge multiplies by an exact incremental potential factor.  The 2-runs
-    and the wing runs step alike for both targets.
+    The walk keeps one array indexed by run length for the 2-runs and one
+    for the runs on each wing symbol; the stored mass carries the weight the
+    paths would have if their current run closed right here, so each edge
+    multiplies by an exact incremental potential factor, one slice operation
+    per allowed edge and step.  The 2-runs and the wing runs step alike for
+    both targets.  A wing step factor is a single exponential,
+    e^(gamma*beta-Z) onto a 3 and e^((gamma+delta)*beta-Z) onto a 4, which
+    stays in range where e^((gamma+delta)*beta) alone would overflow.
 
     [1]: the walk leaves 1 and returns on a step from an auxiliary or a 2
     into 1; the auxiliary symbols share one state, stepped through the first
     of them.
 
     [32]: the walk starts on the head 3,2 and stays off the 1-family.  A path
-    standing on an unprimed 3 is one admissible step away from the re-entry
-    pattern 3,2, so it finalizes there (with the head factor of the next
-    cylinder divided back out); the unprimed 3 -> 2 edge is consumed by that
-    return and never continues a path.
+    that steps onto an unprimed 3 is one admissible step away from the
+    re-entry pattern 3,2, so it finalizes there, with the head factor
+    e^(gamma*beta-Z) 2^(-eps*beta) of the next cylinder divided back out of
+    that step.  That leaves (2(m+1)/(m+2))^(eps*beta) on a step from a wing
+    run of length m and 1 on a step from a 2, so e^Z never stands alone.
+    The unprimed 3 -> 2 edge is consumed by that return and never continues
+    a path.
     """
-    eZ = math.exp(-Z)
-    w_one, w3, w4 = (math.exp(-params.alpha * beta), math.exp(params.gamma * beta),
-                     math.exp((params.gamma + params.delta) * beta))
     eb = params.epsilon * beta
-    two_to_two = graph.allowed(TWO, TWO)
-    two_to_wings = tuple(w for w in (THREE, THREE_P) if graph.allowed(TWO, w))
+    eZ, w_one = math.exp(-Z), math.exp(-params.alpha * beta)
+    step3 = math.exp(params.gamma * beta - Z)
+    step4 = math.exp((params.gamma + params.delta) * beta - Z)
+    into_wing = step3 * 2.0 ** (-eb)
+    n = np.arange(1.0, N + 1.0)           # the run length stepped from
+    two_grows = ((n + 2.0) / (n + 1.0)) ** (-beta)
+    wing_grows = ((n + 1.0) / (n + 2.0)) ** eb
+    row = {TWO: 0, THREE: 1, FOUR: 2, THREE_P: 3, FOUR_P: 4}
+    mass = np.zeros((len(row), N + 2))    # mass[row, run length]
     out = [0.0] * (N + 1)
-    cur: dict[tuple, float] = {}
-    two_to_one, blocked, finalize = False, None, None
     if target == ONE:
         start = w_one * eZ
         if graph.allowed(ONE, ONE):
@@ -133,49 +142,48 @@ def _return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
         aux_to_one = aux is not None and graph.allowed(aux, ONE)
         n_a = 0 if aux is None else sum(1 for s in graph.successors(aux) if is_aux(s))
         two_to_one = graph.allowed(TWO, ONE)
-        if n_aux:
-            cur[("aux",)] = start * n_aux * w_one * eZ
+        aux_mass = start * n_aux * w_one * eZ
         if graph.allowed(ONE, TWO):
-            cur[("two", 1)] = start * 2.0 ** (-beta) * eZ
-    else:  # no auxiliary state is ever entered
-        blocked = THREE
-        finalize = math.exp(-params.gamma * beta) * 2.0 ** eb * math.exp(Z)
-        if graph.allowed(THREE, TWO):
-            head = w3 * 2.0 ** (-eb) * eZ
-            cur[("two", 1)] = head * 2.0 ** (-beta) * eZ
+            mass[0, 1] = start * 2.0 ** (-beta) * eZ
+    elif graph.allowed(THREE, TWO):  # no auxiliary state is ever entered
+        mass[0, 1] = into_wing * 2.0 ** (-beta) * eZ
+    blocked = THREE if target == THREE else None
+    two_to_two = graph.allowed(TWO, TWO)
+    two_to_wings = [row[w] for w in (THREE, THREE_P) if graph.allowed(TWO, w)]
+    moves = []                            # (from row, to row, factor per run length)
+    exits = []                            # rows whose runs may close into a 2
+    for sym in (w for w in (THREE, FOUR, THREE_P, FOUR_P) if w in graph.alphabet):
+        lo, hi = (THREE, FOUR) if sym in (THREE, FOUR) else (THREE_P, FOUR_P)
+        for tgt in graph.successors(sym):
+            if tgt == lo:
+                moves.append((row[sym], row[lo], step3 * wing_grows))
+            elif tgt == hi:
+                moves.append((row[sym], row[hi], step4 * wing_grows))
+            elif tgt == TWO and sym != blocked:
+                exits.append(row[sym])
+    if target == THREE:
+        finalize = (2.0 * (n + 1.0) / (n + 2.0)) ** eb
+        onto_three = [src for src, dst, _ in moves if dst == row[THREE]]
+        two_onto_three = row[THREE] in two_to_wings
     for tau in range(2, N + 1):
-        nxt: defaultdict[tuple, float] = defaultdict(float)
-        for state, v in cur.items():
-            kind = state[0]
-            if kind == "aux":
-                if aux_to_one:
-                    out[tau] += v
-                if n_a:
-                    nxt[("aux",)] += v * n_a * w_one * eZ
-            elif kind == "two":
-                n = state[1]
-                if two_to_one:
-                    out[tau] += v
-                if two_to_two:
-                    nxt[("two", n + 1)] += v * ((n + 2.0) / (n + 1.0)) ** (-beta) * eZ
-                for wsym in two_to_wings:
-                    nxt[("wing", 1, wsym)] += v * w3 * 2.0 ** (-eb) * eZ
-            else:
-                m, sym = state[1], state[2]
-                lo, hi = (THREE, FOUR) if sym in (THREE, FOUR) else (THREE_P, FOUR_P)
-                ratio = ((m + 1.0) / (m + 2.0)) ** eb
-                for tgt in graph.successors(sym):
-                    if tgt == lo:
-                        nxt[("wing", m + 1, tgt)] += v * w3 * ratio * eZ
-                    elif tgt == hi:
-                        nxt[("wing", m + 1, tgt)] += v * w4 * ratio * eZ
-                    elif tgt == TWO and sym != blocked:
-                        nxt[("two", 1)] += v * 2.0 ** (-beta) * eZ
-        if finalize is not None:
-            for state, v in nxt.items():
-                if state[0] == "wing" and state[2] == THREE:
-                    out[tau] += v * finalize
-        cur = nxt
+        nxt = np.zeros_like(mass)
+        two = mass[0]
+        two_total = float(two.sum())
+        if target == ONE:
+            out[tau] = (aux_mass if aux_to_one else 0.0) + (two_total if two_to_one else 0.0)
+            aux_mass = aux_mass * n_a * w_one * eZ
+        else:
+            out[tau] = (two_total if two_onto_three else 0.0) + sum(
+                float((mass[src, 1:-1] * finalize).sum()) for src in onto_three)
+        if two_to_two:
+            nxt[0, 2:] = two[1:-1] * two_grows * eZ
+        for r in two_to_wings:
+            nxt[r, 1] = two_total * into_wing
+        for src, dst, fac in moves:
+            nxt[dst, 2:] += mass[src, 1:-1] * fac
+        for src in exits:
+            nxt[0, 1] += float(mass[src].sum()) * 2.0 ** (-beta) * eZ
+        mass = nxt
     return out
 
 
@@ -212,14 +220,20 @@ def _renewal_tail_bound(lam_fn, params: ModelParams, beta: float, Z: float,
 
 
 def _compare_returns(params: ModelParams, beta: float, Z: float, N: int,
-                     graph: TransitionGraph | None, target: str) -> OracleComparison:
-    """The dp walk's first-return mass to [1] or [32] against the analytic lambda."""
+                     graph: TransitionGraph | None, target: str,
+                     z_floor: float | None = None) -> OracleComparison:
+    """The dp walk's first-return mass to [1] or [32] against the analytic
+    lambda; `z_floor`, the convergence abscissa, is solved for when omitted."""
     if graph is None:
         graph = build_graph(params)
     if target == ONE:
-        cyl, z_floor, lam_fn = "1", abscissa(params, beta).Z_c, _lambda_1
+        cyl, lam_fn = "1", _lambda_1
+        if z_floor is None:
+            z_floor = abscissa(params, beta).Z_c
     else:
-        cyl, z_floor, lam_fn = "32", abscissa_32(params, beta), _lambda_32
+        cyl, lam_fn = "32", _lambda_32
+        if z_floor is None:
+            z_floor = abscissa_32(params, beta)
     if Z <= z_floor:
         raise ValueError(f"Z={Z} is not inside the [{cyl}] convergence domain (Z_c={z_floor})")
     if N > RAW_HORIZON_CAP:
@@ -241,9 +255,14 @@ def enumerate_returns_to_1(params: ModelParams, beta: float, Z: float, N: int,
 
 
 def enumerate_returns_to_32(params: ModelParams, beta: float, Z: float, N: int,
-                            graph: TransitionGraph | None = None) -> OracleComparison:
-    """First-return enumeration to [32] (dp engine, N <= 30) vs. lambda_32."""
-    return _compare_returns(params, beta, Z, N, graph, THREE)
+                            graph: TransitionGraph | None = None,
+                            z_floor: float | None = None) -> OracleComparison:
+    """First-return enumeration to [32] (dp engine, N <= 30) vs. lambda_32.
+
+    `z_floor` is `abscissa_32(params, beta)` when the caller already has it
+    (in variant B it is a root solve); it is solved for when omitted.
+    """
+    return _compare_returns(params, beta, Z, N, graph, THREE, z_floor)
 
 
 def abscissa_32(params: ModelParams, beta: float) -> float:
@@ -267,19 +286,24 @@ def check_Ln(params: ModelParams, beta: float, n_max: int) -> list[tuple[int, fl
     weight of the heaviest word, so the closed form is (1+e^(-beta*delta))^(n-2)
     and no weight overflows at large gamma or delta.  Exact for every n >= 2
     (this pins the wing combinatorics and the normalization of the block
-    series).  The length-n weights are built from the length-(n-1) ones, one
-    entry per word and no word counted by a binomial shortcut.
+    series).  The length-n weights are built from the length-(n-1) ones, in
+    place in one buffer of 2^(n_max-2) entries, one entry per word and no
+    word counted by a binomial shortcut.
     """
     if n_max > LN_CAP:
         raise ValueError(f"check_Ln capped at n_max={LN_CAP}")
     rows = []
     e3 = math.exp(-beta * params.delta)  # a 3 where the heaviest word has a 4
-    weights = np.array([1.0])  # the word 3,3
+    weights = np.empty(1 << max(n_max - 2, 0))
+    weights[0] = 1.0  # the word 3,3
+    k = 1  # the words of length n are weights[:k]
     for n in range(2, n_max + 1):
         if n > 2:
             # each length-(n-1) word with a 3 or a 4 put in before its last 3
-            weights = np.concatenate([weights * e3, weights])
-        enumerated = float(weights.sum())
+            weights[k:2 * k] = weights[:k]
+            weights[:k] *= e3
+            k *= 2
+        enumerated = float(weights[:k].sum())
         closed = (1.0 + e3) ** (n - 2)
         rows.append((n, enumerated, closed))
     return rows
@@ -425,9 +449,10 @@ def verification_table(params: ModelParams, graph: TransitionGraph, n_return: in
     for b in betas:
         cmp1 = enumerate_returns_to_1(params, b, pressures[b] + 0.2, n_return, graph=graph)
         rows.append(_certified(f"returns_to_1 beta={b:g}", cmp1))
-        Z32 = max(critical.pressure_34(params, b) + 0.3, abscissa_32(params, b) + 0.2)
+        floor32 = abscissa_32(params, b)
+        Z32 = max(critical.pressure_34(params, b) + 0.3, floor32 + 0.2)
         cmp2 = enumerate_returns_to_32(params, b, Z32, min(n_return, RETURN_32_HORIZON),
-                                       graph=graph)
+                                       graph=graph, z_floor=floor32)
         rows.append(_certified(f"returns_to_32 beta={b:g}", cmp2))
     rows.append(_check("entropy vs P(0)", critical.pressure_full(params, 0.0),
                        incidence_entropy(graph), ENTROPY_TOL))

@@ -7,11 +7,19 @@ Everything here reduces to sums of the shape
 evaluated with an explicit bound on the discarded tail.  Three regimes:
 
   * W = 0: the sum is zeta(s) - 1 (divergent for s <= 1), taken from the
-    internal Euler-Maclaurin zeta;
-  * W >= 0.02: direct chunked summation; geometric and integral tail bounds;
+    internal Euler-Maclaurin zeta; the bound grows with |zeta(s)|;
+  * W >= 0.02: direct chunked summation; geometric and integral tail bounds,
+    which bound the truncated tail alone;
   * 0 < W < 0.02: the expansion of the polylogarithm Li_s(e^-W) around W = 0
     (leading Gamma(1-s) W^(s-1) term plus a zeta power series), which stays
-    accurate where direct summation would need >> 10^7 terms.
+    accurate where direct summation would need >> 10^7 terms; the bound
+    includes the rounding of the leading term and of the final step.
+
+`tail_sum_pair` gives T(s, W) and T(s-1, W) from one pass, the pair that
+every Z-derivative needs: direct summation computes each term once for both
+sums, and the two polylog expansions share their zeta values (the expansion
+converges for W < 2 pi; D. C. Wood, "The computation of polylogarithms",
+Univ. of Kent TR 15-92, 1992).
 
 Divergence is always reported through an explicit flag, never by overflow:
 the phase structure downstream branches on convergence boundaries.
@@ -28,6 +36,8 @@ from .model import ModelParams, wing_pressure
 
 DEFAULT_TOL = 1e-13
 TERM_CAP = 10_000_000
+
+_EPS = 2.0 ** -52
 
 _ASYMPTOTIC_W = 0.02
 _EM_N = 64
@@ -64,13 +74,29 @@ def _zeta_any(s: float) -> float:
         # series at 0; also keeps the reflection below from rounding 1-s to 1
         return -0.5 - 0.9189385332046727 * s
     if s < 0.5:
+        if abs(s) < 0.25:
+            # 1 - s is rounded, and the pole of zeta(1 - s) ~ -1/s would
+            # magnify that by 1/|s|: take the pole from s itself
+            z1 = _zeta_em(1.0 - s, regular=True) - 1.0 / s
+        else:
+            z1 = _zeta_any(1.0 - s)
         return (2.0 ** s * math.pi ** (s - 1.0) * math.sin(math.pi * s / 2.0)
-                * math.gamma(1.0 - s) * _zeta_any(1.0 - s))
+                * math.gamma(1.0 - s) * z1)
     if s > 55.0:
         return 1.0 + 2.0 ** -s + 3.0 ** -s
+    return _zeta_em(s)
+
+
+def _zeta_em(s: float, regular: bool = False) -> float:
+    """Euler-Maclaurin zeta(s) for s >= 0.5, s != 1; with `regular`, the
+    part zeta(s) - 1/(s-1) that stays smooth through the pole."""
     N = _EM_N
     total = math.fsum(n ** -s for n in range(1, N))
-    total += N ** (1.0 - s) / (s - 1.0) + 0.5 * N ** -s
+    if regular:
+        # N^(1-s)/(s-1) - 1/(s-1), without the cancellation
+        total += math.expm1((1.0 - s) * math.log(N)) / (s - 1.0) + 0.5 * N ** -s
+    else:
+        total += N ** (1.0 - s) / (s - 1.0) + 0.5 * N ** -s
     poch = 1.0
     for j, b2j in enumerate(_BERNOULLI, start=1):
         poch = s if j == 1 else poch * (s + 2 * j - 3) * (s + 2 * j - 2)
@@ -93,12 +119,19 @@ def _harmonic(m: int) -> float:
     return sum(1.0 / i for i in range(1, m + 1))
 
 
-def _li_expansion(s: float, W: float) -> tuple[float, float]:
+def _li_expansion(s: float, W: float, zeta=_zeta_any) -> tuple[float, float]:
     """Li_s(e^-W) for 0 < W < 1 via the expansion around W = 0.
 
     Returns (value, absolute error estimate).  Positive integer s uses the
     logarithmic variant of the expansion; near-integer s goes through the
-    integer branch with the offset folded into the error estimate.
+    integer branch with the offset folded into the error estimate.  `zeta`
+    gives the zeta values of the series, so that two expansions can share
+    them.
+
+    The estimate covers the rounding of the leading term Gamma(1-s) W^(s-1).
+    For s < 1/2 both s - 1 and 1 - s may be rounded, by up to half an ulp of
+    |s - 1|; W^(s-1) turns an exponent error e into a relative error
+    e |log W|, and Gamma(1-s) turns it into e |psi(1-s)| <= e (2 + log(1+|s|)).
     """
     nearest = round(s)
     kmax = 60
@@ -114,7 +147,7 @@ def _li_expansion(s: float, W: float) -> tuple[float, float]:
         term_pow = 1.0
         for k in range(kmax):
             if k != n - 1:
-                t = _zeta_any(n - k) * term_pow / math.factorial(k)
+                t = zeta(n - k) * term_pow / math.factorial(k)
                 total += t
                 mags = max(mags, abs(t))
                 if k > 6 and abs(t) < 1e-19 * mags:
@@ -122,17 +155,78 @@ def _li_expansion(s: float, W: float) -> tuple[float, float]:
             term_pow *= -W
         return total, mags * 5e-16 + drift * max(1.0, abs(total))
     lead = math.gamma(1.0 - s) * W ** (s - 1.0)
+    lead_err = abs(lead) * _EPS * (
+        4.0 + abs(s - 1.0) * (abs(math.log(W)) + 2.0 + math.log1p(abs(s))))
     total = lead
     mags = abs(lead)
     term_pow = 1.0
     for k in range(kmax):
-        t = _zeta_any(s - k) * term_pow / math.factorial(k)
+        t = zeta(s - k) * term_pow / math.factorial(k)
         total += t
         mags = max(mags, abs(t))
         if k > 6 and abs(t) < 1e-19 * mags:
             break
         term_pow *= -W
-    return total, mags * 5e-16
+    return total, mags * 5e-16 + lead_err
+
+
+def _at_zero(s: float) -> SeriesEval:
+    """T(s, 0) = zeta(s) - 1; the bound scales with |zeta(s)|, which nears
+    1/(s-1) at the pole."""
+    if s <= 1.0:
+        return _DIVERGENT
+    z = _zeta_any(s)
+    return SeriesEval(z - 1.0, 3e-13 + 4.0 * _EPS * abs(z), _EM_N, False)
+
+
+def _polylog(s: float, W: float, zeta=_zeta_any) -> SeriesEval:
+    """T(s, W) = e^W (Li_s(e^-W) - e^-W) for 0 < W < 0.02; the bound adds the
+    rounding of that last step to the expansion's error."""
+    li, err = _li_expansion(s, W, zeta)
+    e_w = math.exp(W)
+    value = e_w * (li - math.exp(-W))
+    # e^-W is rounded (half an ulp, times e^W) and so are the two operations
+    return SeriesEval(value, err * e_w + _EPS * (1.0 + 2.0 * abs(value)), 0, False)
+
+
+def _direct_tail(s: float, W: float, N: int) -> float:
+    """Bound on sum_{n>N} (n+1)^(-s) e^(-nW) for W > 0."""
+    q = math.exp(-W)
+    if s >= 0.0:
+        # terms decrease: geometric envelope at rate q
+        geo = (N + 2.0) ** (-s) * math.exp(-(N + 1) * W) / (1.0 - q)
+    else:
+        # polynomially growing prefactor: envelope at the first-step ratio
+        r = ((N + 3.0) / (N + 2.0)) ** (-s) * q
+        geo = ((N + 2.0) ** (-s) * math.exp(-(N + 1) * W) / (1.0 - r)
+               if r < 1.0 else math.inf)
+    poly = (N + 1.0) ** (1.0 - s) / (s - 1.0) if s > 1.0 else math.inf
+    return min(geo, poly)
+
+
+def _direct(s: float, W: float, tol: float, paired: bool) -> tuple[SeriesEval, ...]:
+    """T(s, W), and T(s-1, W) when `paired`, by chunked direct summation.
+
+    The terms a_n = (n+1)^(-s) e^(-nW) are computed once per chunk; the s-1
+    sum adds (n+1) a_n.  The chunks start at 4096 terms and double (up to
+    2^20) until every reported tail is within tol.
+    """
+    exponents = (s, s - 1.0) if paired else (s,)
+    totals = [0.0] * len(exponents)
+    n0, chunk = 1, 4096
+    while True:
+        n = np.arange(n0, n0 + chunk, dtype=float)
+        m = n + 1.0
+        a = m ** (-s) * np.exp(-n * W)
+        totals[0] += float(a.sum())
+        if paired:
+            totals[1] += float((m * a).sum())
+        N = n0 + chunk - 1
+        tails = [_direct_tail(e, W, N) for e in exponents]
+        if max(tails) <= tol or N >= TERM_CAP:
+            return tuple(SeriesEval(t, b, N, False) for t, b in zip(totals, tails))
+        n0 += chunk
+        chunk = min(chunk * 2, 1 << 20)
 
 
 def tail_sum(s: float, W: float, tol: float = DEFAULT_TOL) -> SeriesEval:
@@ -143,34 +237,38 @@ def tail_sum(s: float, W: float, tol: float = DEFAULT_TOL) -> SeriesEval:
     if W < 0.0 or not math.isfinite(W):
         return _DIVERGENT
     if W == 0.0:
-        if s <= 1.0:
-            return _DIVERGENT
-        return SeriesEval(_zeta_any(s) - 1.0, 3e-13, _EM_N, False)
+        return _at_zero(s)
     if W < _ASYMPTOTIC_W:
-        li, err = _li_expansion(s, W)
-        value = math.exp(W) * (li - math.exp(-W))
-        return SeriesEval(value, err * math.exp(W) + 2e-16 * abs(value), 0, False)
-    q = math.exp(-W)
-    total = 0.0
-    n0, chunk = 1, 4096
-    while True:
-        n = np.arange(n0, n0 + chunk, dtype=float)
-        total += float(((n + 1.0) ** (-s) * np.exp(-n * W)).sum())
-        N = n0 + chunk - 1
-        if s >= 0.0:
-            # terms decrease: geometric envelope at rate q
-            geo = (N + 2.0) ** (-s) * math.exp(-(N + 1) * W) / (1.0 - q)
-        else:
-            # polynomially growing prefactor: envelope at the first-step ratio
-            r = ((N + 3.0) / (N + 2.0)) ** (-s) * q
-            geo = ((N + 2.0) ** (-s) * math.exp(-(N + 1) * W) / (1.0 - r)
-                   if r < 1.0 else math.inf)
-        poly = (N + 1.0) ** (1.0 - s) / (s - 1.0) if s > 1.0 else math.inf
-        tail = min(geo, poly)
-        if tail <= tol or N >= TERM_CAP:
-            return SeriesEval(total, tail, N, False)
-        n0 += chunk
-        chunk = min(chunk * 2, 1 << 20)
+        return _polylog(s, W)
+    return _direct(s, W, tol, paired=False)[0]
+
+
+def tail_sum_pair(s: float, W: float) -> tuple[SeriesEval, SeriesEval]:
+    """(T(s, W), T(s-1, W)) from one pass, each with its own certificate.
+
+    The Z-derivatives of the 2-string and wing series need this pair, since
+    n (n+1)^(-s) = (n+1)^(1-s) - (n+1)^(-s).  Each member equals what
+    `tail_sum` reports for it up to rounding, and a member is divergent
+    exactly when `tail_sum` would say so: at W = 0, T(s-1, W) diverges for
+    s <= 2.  Direct summation shares its terms between the two sums and runs
+    until both tails are within DEFAULT_TOL; the two polylog expansions share
+    their zeta values, since the s-1 expansion needs zeta(s-1-k) where the s
+    expansion needs zeta(s-k).
+    """
+    if W < 0.0 or not math.isfinite(W):
+        return _DIVERGENT, _DIVERGENT
+    if W == 0.0:
+        return _at_zero(s), _at_zero(s - 1.0)
+    if W < _ASYMPTOTIC_W:
+        zetas: dict[float, float] = {}
+
+        def zeta(x: float) -> float:
+            if x not in zetas:
+                zetas[x] = _zeta_any(x)
+            return zetas[x]
+
+        return _polylog(s, W, zeta), _polylog(s - 1.0, W, zeta)
+    return _direct(s, W, DEFAULT_TOL, paired=True)
 
 
 def _one_family_ratio(params: ModelParams, beta: float, Z: float) -> float:
@@ -257,17 +355,14 @@ def dsigma_dZ(which: str, params: ModelParams, beta: float, Z: float) -> SeriesE
         return SeriesEval(-first / (1.0 - r) ** 2, 0.0, 0, False)
     if which == "S2":
         # n (n+1)^(-s) = (n+1)^(1-s) - (n+1)^(-s)
-        hi = tail_sum(beta - 1.0, Z)
-        lo = tail_sum(beta, Z)
+        lo, hi = tail_sum_pair(beta, Z)
         if hi.divergent or lo.divergent:
             return _DIVERGENT
         return SeriesEval(-(hi.value - lo.value), hi.tail_bound + lo.tail_bound,
                           max(hi.terms_used, lo.terms_used), False)
     if which == "S3":
         W = Z - wing_pressure(params, beta)
-        s = params.epsilon * beta
-        hi = tail_sum(s - 1.0, W)
-        lo = tail_sum(s, W)
+        lo, hi = tail_sum_pair(params.epsilon * beta, W)
         if hi.divergent or lo.divergent:
             return _DIVERGENT
         pref = wing_prefactor(params, beta)

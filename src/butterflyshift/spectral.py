@@ -13,7 +13,7 @@ by either wing family).
 
 The root solves for the pressure and the composition boundary take these
 maps with their Z-derivatives (every term of a series in e^(-nZ) gains a
-factor -n), evaluated together from four tail sums.
+factor -n), evaluated together from two paired series passes.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .series import (
     sigma2,
     sigma3,
     single_block_correction,
-    tail_sum,
+    tail_sum_pair,
     wing_prefactor,
 )
 
@@ -104,26 +104,25 @@ def _wing_series_dZ(params: ModelParams, beta: float,
                     Z: float) -> tuple[float, float, float, float] | None:
     """(Sigma2, dSigma2/dZ, Sigma3, dSigma3/dZ), or None if Sigma2 or Sigma3 diverges.
 
-    Four tail sums: the two series and the two s-1 sums of their derivatives,
-    since n (n+1)^(-s) = (n+1)^(1-s) - (n+1)^(-s).  A derivative series that
-    diverges (at W = 0 with s <= 2) gives a slope of -inf.
+    Two paired series passes, T(s, .) and T(s-1, .) for each of the two
+    series, since n (n+1)^(-s) = (n+1)^(1-s) - (n+1)^(-s).  A derivative
+    series that diverges (at W = 0 with s <= 2) gives a slope of -inf.
     """
-    s2 = sigma2(params, beta, Z)
-    s3 = sigma3(params, beta, Z)
-    if s2.divergent or s3.divergent:
+    t2, t2m = tail_sum_pair(beta, Z)
+    t3, t3m = tail_sum_pair(params.epsilon * beta, Z - wing_pressure(params, beta))
+    if t2.divergent or t3.divergent:
         return None
-    t2 = tail_sum(beta - 1.0, Z)
-    t3 = tail_sum(params.epsilon * beta - 1.0, Z - wing_pressure(params, beta))
+    pref = wing_prefactor(params, beta)
     corr = single_block_correction(params, beta, Z)
+    s3 = t3.value * pref + corr  # sigma3
     # Sigma3 = pref * T(s, W) + corr, so d/dZ = -pref * (T(s-1, W) - T(s, W)) - corr
-    d2 = -math.inf if t2.divergent else s2.value - t2.value
-    d3 = (-math.inf if t3.divergent
-          else (s3.value - corr) - wing_prefactor(params, beta) * t3.value - corr)
-    return s2.value, d2, s3.value, d3
+    d2 = -math.inf if t2m.divergent else t2.value - t2m.value
+    d3 = -math.inf if t3m.divergent else (s3 - corr) - pref * t3m.value - corr
+    return t2.value, d2, s3, d3
 
 
 def lambda_1_dZ(params: ModelParams, beta: float, Z: float) -> tuple[float, float]:
-    """lambda_[1] at (beta, Z) and its Z-derivative, from four tail sums.
+    """lambda_[1] at (beta, Z) and its Z-derivative, from two paired series passes.
 
     The value is that of `lambda_1`, or +inf where `lambda_1` is undefined
     (the slope is then NaN).

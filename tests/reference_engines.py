@@ -10,6 +10,10 @@ route that is slower or shares less with the fast code:
   * compressed returns to [1]: renewal convolution over (2-string,
     wing-block) run lengths.  It shares the block counting with the analytic
     formula and exists for deep-horizon confidence only.
+  * the dict-keyed return walk: the first-return masses over states
+    (kind, run length) kept in a dict, the reference for the array walk of
+    `oracle._return_walk`; and the wing-word weights of `check_Ln` built by
+    concatenation, the reference for its in-place buffer.
   * periodic points: depth-first enumeration of every admissible cyclic
     n-tuple, each weighted from its own wrapped run lengths, as the reference
     for the transfer-matrix trace; and that trace again in mpmath arithmetic.
@@ -282,6 +286,105 @@ def return_words_to_32(graph: TransitionGraph, params: ModelParams, beta: float,
 
     rec([THREE, TWO])
     return out
+
+
+# ---------------------------------------------------------------------------
+# the dict-keyed return walk and the concatenated wing-word weights
+
+def dict_return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
+                      Z: float, N: int, target: str) -> list[float]:
+    """Per-tau first-return mass to [1] (target ONE) or [32] (target THREE).
+
+    State = (kind, current run length); the stored mass carries the weight
+    the paths would have if their current run closed right here, so each
+    edge multiplies by an exact incremental potential factor.  The 2-runs
+    and the wing runs step alike for both targets.
+
+    [1]: the walk leaves 1 and returns on a step from an auxiliary or a 2
+    into 1; the auxiliary symbols share one state, stepped through the first
+    of them.
+
+    [32]: the walk starts on the head 3,2 and stays off the 1-family.  A path
+    standing on an unprimed 3 is one admissible step away from the re-entry
+    pattern 3,2, so it finalizes there (with the head factor of the next
+    cylinder divided back out); the unprimed 3 -> 2 edge is consumed by that
+    return and never continues a path.
+    """
+    eZ = math.exp(-Z)
+    w_one, w3, w4 = (math.exp(-params.alpha * beta), math.exp(params.gamma * beta),
+                     math.exp((params.gamma + params.delta) * beta))
+    eb = params.epsilon * beta
+    two_to_two = graph.allowed(TWO, TWO)
+    two_to_wings = tuple(w for w in (THREE, THREE_P) if graph.allowed(TWO, w))
+    out = [0.0] * (N + 1)
+    cur: dict[tuple, float] = {}
+    two_to_one, blocked, finalize = False, None, None
+    if target == ONE:
+        start = w_one * eZ
+        if graph.allowed(ONE, ONE):
+            out[1] += start
+        n_aux = sum(1 for s in graph.successors(ONE) if is_aux(s))
+        aux = next((s for s in graph.alphabet if is_aux(s)), None)
+        aux_to_one = aux is not None and graph.allowed(aux, ONE)
+        n_a = 0 if aux is None else sum(1 for s in graph.successors(aux) if is_aux(s))
+        two_to_one = graph.allowed(TWO, ONE)
+        if n_aux:
+            cur[("aux",)] = start * n_aux * w_one * eZ
+        if graph.allowed(ONE, TWO):
+            cur[("two", 1)] = start * 2.0 ** (-beta) * eZ
+    else:  # no auxiliary state is ever entered
+        blocked = THREE
+        finalize = math.exp(-params.gamma * beta) * 2.0 ** eb * math.exp(Z)
+        if graph.allowed(THREE, TWO):
+            head = w3 * 2.0 ** (-eb) * eZ
+            cur[("two", 1)] = head * 2.0 ** (-beta) * eZ
+    for tau in range(2, N + 1):
+        nxt: defaultdict[tuple, float] = defaultdict(float)
+        for state, v in cur.items():
+            kind = state[0]
+            if kind == "aux":
+                if aux_to_one:
+                    out[tau] += v
+                if n_a:
+                    nxt[("aux",)] += v * n_a * w_one * eZ
+            elif kind == "two":
+                n = state[1]
+                if two_to_one:
+                    out[tau] += v
+                if two_to_two:
+                    nxt[("two", n + 1)] += v * ((n + 2.0) / (n + 1.0)) ** (-beta) * eZ
+                for wsym in two_to_wings:
+                    nxt[("wing", 1, wsym)] += v * w3 * 2.0 ** (-eb) * eZ
+            else:
+                m, sym = state[1], state[2]
+                lo, hi = (THREE, FOUR) if sym in (THREE, FOUR) else (THREE_P, FOUR_P)
+                ratio = ((m + 1.0) / (m + 2.0)) ** eb
+                for tgt in graph.successors(sym):
+                    if tgt == lo:
+                        nxt[("wing", m + 1, tgt)] += v * w3 * ratio * eZ
+                    elif tgt == hi:
+                        nxt[("wing", m + 1, tgt)] += v * w4 * ratio * eZ
+                    elif tgt == TWO and sym != blocked:
+                        nxt[("two", 1)] += v * 2.0 ** (-beta) * eZ
+        if finalize is not None:
+            for state, v in nxt.items():
+                if state[0] == "wing" and state[2] == THREE:
+                    out[tau] += v * finalize
+        cur = nxt
+    return out
+
+
+def concatenated_Ln(params: ModelParams, beta: float, n_max: int) -> list[tuple[int, float, float]]:
+    """`oracle.check_Ln` with each length's weights a new array, concatenated
+    from the previous length's."""
+    rows = []
+    e3 = math.exp(-beta * params.delta)
+    weights = np.array([1.0])
+    for n in range(2, n_max + 1):
+        if n > 2:
+            weights = np.concatenate([weights * e3, weights])
+        rows.append((n, float(weights.sum()), (1.0 + e3) ** (n - 2)))
+    return rows
 
 
 # ---------------------------------------------------------------------------

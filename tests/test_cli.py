@@ -155,7 +155,10 @@ class TestOracleCmd:
 
     def test_large_gamma_or_delta_passes(self):
         # the wing-word and periodic-orbit weights used to overflow here
-        for flags in (["--delta", "40"], ["--delta", "200"], ["--gamma", "800"]):
+        # (--delta 1500 and 3000: the return walk's too; lambda itself
+        # underflows there, so some return rows read 0 against 0)
+        for flags in (["--delta", "40"], ["--delta", "200"], ["--gamma", "800"],
+                      ["--delta", "1500"], ["--delta", "3000"]):
             code, out = run(["oracle", "--config", CFG] + flags)
             assert code == EXIT_OK, flags
             assert out.strip().endswith("PASS")

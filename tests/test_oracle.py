@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from butterflyshift.critical import pressure_34, pressure_full, pressure_mid
-from butterflyshift.model import ModelParams, REFERENCE, TransitionGraph, build_graph
+from butterflyshift import oracle
+from butterflyshift.model import ModelParams, ONE, REFERENCE, THREE, TransitionGraph, build_graph
 from butterflyshift.oracle import (
+    abscissa_32,
     check_Ln,
     dp_partial_returns_to_1,
     dp_partial_returns_to_32,
@@ -25,6 +27,8 @@ from conftest import assert_close
 from reference_engines import (
     compressed_gap_returns_to_1,
     compressed_partial_returns_to_1,
+    concatenated_Ln,
+    dict_return_walk,
     mp_periodic_orbit_pressure,
     periodic_point_sums,
     return_words_to_1,
@@ -80,6 +84,12 @@ class TestCheckLn:
         # unscaled, the heaviest n = 20 word weighs e^(20*gamma + 18*delta)
         for n, enum, closed in check_Ln(params, 1.0, 20):
             assert math.isfinite(enum) and abs(enum - closed) <= 1e-11 * closed, n
+
+    @pytest.mark.parametrize("n_max", [2, 3, 10, 20])
+    def test_buffer_matches_concatenation(self, n_max):
+        # the in-place buffer holds the very array the concatenations built
+        for p, beta in [(REFERENCE, 1.0), (ModelParams(1.0, 0.2, 3.0, 0.7), 0.6)]:
+            assert check_Ln(p, beta, n_max) == concatenated_Ln(p, beta, n_max)
 
     def test_row_count_at_full_horizon(self):
         rows = check_Ln(REFERENCE, 1.0, 20)
@@ -140,6 +150,53 @@ class TestEnginesAgree:
         beta, Z = 0.5, pressure_full(REFERENCE, 0.5) + 0.25
         gap_deep = compressed_gap_returns_to_1(REFERENCE, beta, Z, 600)
         assert abs(gap_deep) < 1e-12  # fully converged up to float roundoff
+
+
+WALK_GRAPHS = (
+    [(f"{v}-L{L}", ModelParams(1.0, 0.5, 1.0, 1.0, L, v), {}) for v in "AB" for L in (1, 7, 300)]
+    + [("extra 4:2", REFERENCE, {"extra_edges": [("4", "2")]}),
+       ("extra 4:1", REFERENCE, {"extra_edges": [("4", "1")]}),
+       ("extra 1_2:2", ModelParams(1.0, 0.5, 1.0, 1.0, L=3), {"extra_edges": [("1_2", "2")]}),
+       ("drop 3:3", REFERENCE, {"drop_edges": [("3", "3")]}),
+       ("drop 2:2", REFERENCE, {"drop_edges": [("2", "2")]}),
+       ("drop 3:2", REFERENCE, {"drop_edges": [("3", "2")]}),
+       ("drop 1_1:1", REFERENCE, {"drop_edges": [("1_1", "1")]})])
+
+
+class TestArrayWalk:
+    """The array walk against the dict-keyed walk it replaced, at the table's
+    probe points and horizons."""
+
+    @pytest.mark.parametrize("params,corrupt", [g[1:] for g in WALK_GRAPHS],
+                             ids=[g[0] for g in WALK_GRAPHS])
+    def test_matches_dict_walk(self, params, corrupt):
+        # same factors but the wing steps, which are one exponential each:
+        # a few ulps per step, agreeing to 4e-15 relative over 22 steps
+        graph = build_graph(params, **corrupt)
+        for beta in (0.25, 0.5, 0.9):
+            z32 = max(pressure_34(params, beta) + 0.3, abscissa_32(params, beta) + 0.2)
+            for target, Z, N in ((ONE, pressure_full(params, beta) + 0.2, 22),
+                                 (THREE, z32, 20)):
+                walk = oracle._return_walk(graph, params, beta, Z, N, target)
+                ref = dict_return_walk(graph, params, beta, Z, N, target)
+                assert len(walk) == len(ref) == N + 1
+                for tau, (a, b) in enumerate(zip(walk, ref)):
+                    assert abs(a - b) <= 4e-15 * abs(b), (beta, target, tau, a, b)
+
+    def test_large_delta_stays_in_range(self):
+        # e^((gamma+delta)*beta) alone overflows once (gamma+delta)*beta > 709;
+        # at delta = 1400 the [32] masses near 1e-305 survive, where the dict
+        # walk's separate factors lost them to underflow
+        p = ModelParams(1.0, 0.5, 1400.0, 1.0)
+        cmp = enumerate_returns_to_32(p, 0.25, max(pressure_34(p, 0.25) + 0.3,
+                                                   abscissa_32(p, 0.25) + 0.2), 20)
+        assert cmp.consistent and cmp.enumerated_partial > 0.0
+        assert abs(cmp.gap) <= 1e-3 * cmp.analytic
+        p = ModelParams(1.0, 0.5, 1500.0, 1.0)
+        for target in (ONE, THREE):
+            walk = oracle._return_walk(build_graph(p), p, 0.5, pressure_34(p, 0.5) + 0.3,
+                                       20, target)
+            assert all(math.isfinite(v) and v >= 0.0 for v in walk)
 
 
 def word_count(params, N):
@@ -418,6 +475,15 @@ class TestVerificationTable:
             assert not r.ok, r
         # the wing words never touch a 2: the extra 4 -> 2 edge leaves them exact
         assert all(r.ok for r in rows if r.name.startswith("L_n"))
+
+    def test_each_32_floor_solved_once(self, monkeypatch):
+        # in variant B each [32] floor is a composition-boundary solve
+        probes = []
+        solve = oracle.abscissa_32
+        monkeypatch.setattr(oracle, "abscissa_32", lambda p, b: probes.append(b) or solve(p, b))
+        rows = verification_table(PARAMS_B, build_graph(PARAMS_B), 16, 8, 12)
+        assert all(r.ok for r in rows if r.name.startswith("returns_to_32"))
+        assert probes == [0.25, 0.5]
 
     def test_low_beta_hi_probes_half_of_it(self):
         # beta_hi <= 0.6: one probe beta at beta_hi / 2, the periodic row there too

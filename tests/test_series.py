@@ -15,9 +15,12 @@ from butterflyshift.series import (
     sigma3,
     single_block_correction,
     tail_sum,
+    tail_sum_pair,
 )
 
 from conftest import assert_close
+
+EPS = 2.0 ** -52
 
 
 def brute_wing_block_series(params, beta, Z, n_terms=400_000):
@@ -278,3 +281,71 @@ class TestZeta:
             assert abs(a - b) <= 3.0 * lead + 1e-8
         assert abs(tail_sum(2.0, 0.0).value - tail_sum(2.0, w).value) \
             <= 3.0 * w * abs(math.log(w)) + 1e-8
+
+
+# (s, W) over the three regimes, both sides of the W = 0.02 seam, negative s
+# and s next to the integers (1 - 1.8e-10 puts the pair's s - 1 next to 0)
+BOUND_S = (-0.9, -0.3, 1e-10, 0.3, 1.0 - 1.8e-10, 1.0 + 1e-10, 1.5, 2.0 - 1e-10,
+           2.0 + 3e-9, 2.5, 3.0 + 1e-10, 3.7)
+BOUND_W = (0.0, 1e-8, 1e-4, 0.0199, 0.0201, 0.5)
+
+
+def _regime(W):
+    return "zeta" if W == 0.0 else ("polylog" if W < 0.02 else "direct")
+
+
+class TestTailSumPair:
+    def test_matches_two_tail_sums(self):
+        # within the two bounds; direct summation also rounds its terms
+        # differently ((n+1) a_n against (n+1)^(1-s) e^(-nW))
+        for s in BOUND_S:
+            for W in BOUND_W:
+                pair = tail_sum_pair(s, W)
+                for got, ref in zip(pair, (tail_sum(s, W), tail_sum(s - 1.0, W))):
+                    assert got.divergent == ref.divergent, (s, W)
+                    if ref.divergent:
+                        continue
+                    allow = got.tail_bound + ref.tail_bound
+                    if _regime(W) == "direct":
+                        allow += 8 * EPS * abs(ref.value)
+                    assert abs(got.value - ref.value) <= allow, (s, W)
+
+    def test_divergence(self):
+        for s, first, second in [(0.5, True, True), (1.0, True, True), (1.5, False, True),
+                                 (2.0, False, True), (2.0 + 1e-9, False, False)]:
+            a, b = tail_sum_pair(s, 0.0)
+            assert (a.divergent, b.divergent) == (first, second), s
+        for W in (-1e-9, math.inf, math.nan):
+            assert all(e.divergent for e in tail_sum_pair(1.5, W))
+        assert not any(e.divergent for e in tail_sum_pair(-0.5, 1e-6))
+
+    def test_direct_pair_sums_to_both_tolerances(self):
+        # T(s - 1) needs a second chunk where T(s) needs one: the pair runs on
+        s, W = -5.5, 0.0201
+        a, b = tail_sum_pair(s, W)
+        assert tail_sum(s, W).terms_used < a.terms_used == b.terms_used \
+            == tail_sum(s - 1.0, W).terms_used
+        assert a.tail_bound <= DEFAULT_TOL and b.tail_bound <= DEFAULT_TOL
+
+
+@pytest.mark.parametrize("s", BOUND_S)
+def test_tail_bounds_hold_against_mpmath(s):
+    # |value - truth| <= tail_bound; only direct summation, whose bound is the
+    # truncated tail alone, gets a rounding allowance of 8 eps |value|
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+
+    def truth(x, W):
+        if W == 0.0:
+            return mp.zeta(x) - 1
+        return mp.exp(mp.mpf(W)) * mp.polylog(x, mp.exp(-mp.mpf(W))) - 1
+
+    for W in BOUND_W:
+        first, second = tail_sum_pair(s, W)
+        for ev, x in ((tail_sum(s, W), mp.mpf(s)), (first, mp.mpf(s)),
+                      (second, mp.mpf(s) - 1)):
+            if ev.divergent:
+                continue
+            allow = ev.tail_bound + (8 * EPS * abs(ev.value) if _regime(W) == "direct" else 0.0)
+            err = abs(mp.mpf(ev.value) - truth(x, W))
+            assert err <= allow, f"s={x} W={W} ({_regime(W)}): error {float(err):.3e} > {allow:.3e}"
