@@ -27,6 +27,7 @@ the phase structure downstream branches on convergence boundaries.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -260,13 +261,7 @@ def tail_sum_pair(s: float, W: float) -> tuple[SeriesEval, SeriesEval]:
     if W == 0.0:
         return _at_zero(s), _at_zero(s - 1.0)
     if W < _ASYMPTOTIC_W:
-        zetas: dict[float, float] = {}
-
-        def zeta(x: float) -> float:
-            if x not in zetas:
-                zetas[x] = _zeta_any(x)
-            return zetas[x]
-
+        zeta = functools.lru_cache(maxsize=None)(_zeta_any)  # for this call only
         return _polylog(s, W, zeta), _polylog(s - 1.0, W, zeta)
     return _direct(s, W, DEFAULT_TOL, paired=True)
 
