@@ -32,7 +32,7 @@ from .oracle import (
     incidence_entropy,
     periodic_orbit_pressure,
 )
-from .series import SeriesEval, dsigma_dZ, riemann_zeta, sigma1, sigma2, sigma3
+from .series import SeriesEval, riemann_zeta, sigma1, sigma2, sigma3
 from .spectral import AbscissaReport, SpectralValue, abscissa, lambda_1, lambda_32
 
 __version__ = "0.1.0"
@@ -55,7 +55,6 @@ __all__ = [
     "build_graph",
     "check_Ln",
     "critical_set",
-    "dsigma_dZ",
     "enumerate_returns_to_1",
     "enumerate_returns_to_32",
     "equilibrium_report",

@@ -24,12 +24,12 @@ from functools import lru_cache
 
 from .model import ModelParams, wing_pressure
 from .roots import bisect_log_offset, newton_log_offset
-from .series import dsigma_dZ, riemann_zeta
+from .series import riemann_zeta
 from .spectral import (
+    composition,
     composition_boundary,
     composition_value_at_floor,
     lambda_1,
-    lambda_1_dZ,
 )
 
 BELOW_LO = "below_lo"
@@ -171,7 +171,12 @@ def pressure_full(params: ModelParams, beta: float) -> float:
     if beta >= crit.beta_hi:
         return wing_pressure(params, beta)
     z0 = max(wing_pressure(params, beta), math.log(params.L) - params.alpha * beta)
-    return z0 + newton_log_offset(lambda z: lambda_1_dZ(params, beta, z), z0).offset
+
+    def F(z: float) -> tuple[float, float]:
+        lam = lambda_1(params, beta, z, slope=True)
+        return (lam.value, lam.slope) if lam.defined else (math.inf, math.nan)
+
+    return z0 + newton_log_offset(F, z0).offset
 
 
 def pressure_mid(params: ModelParams, beta: float) -> float:
@@ -224,8 +229,8 @@ def equilibrium_report(params: ModelParams, which: str,
     b = beta_star if beta_star is not None else (
         crit.beta_lo if which == "at_beta_lo" else crit.beta_hi)
     eps_beta = params.epsilon * b
-    dS3 = dsigma_dZ("S3", params, b, wing_pressure(params, b))
-    finite = not dS3.divergent
+    # at the floor m*Sigma2*Sigma3 has a finite slope iff the wing series does
+    finite = math.isfinite(composition(params, b, wing_pressure(params, b), slope=True)[1])
     # a second equilibrium needs weight on the inducing cylinder (finite return
     # time), except with doubled wings, where the two mirrored wing
     # equilibria always coexist

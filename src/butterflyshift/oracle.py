@@ -68,7 +68,8 @@ class OracleComparison:
 
     All weights are positive, so the enumeration approaches the analytic
     value from below: 0 <= gap <= certified_tail whenever the analytic
-    formula and the graph agree.
+    formula and the graph agree.  The rounding slack shrinks with the
+    analytic value below 1, so a tiny value still has to be matched.
     """
 
     analytic: float
@@ -78,7 +79,8 @@ class OracleComparison:
 
     @property
     def consistent(self) -> bool:
-        return -CONSISTENCY_SLACK <= self.gap <= self.certified_tail + CONSISTENCY_SLACK
+        slack = CONSISTENCY_SLACK * min(1.0, abs(self.analytic))
+        return -slack <= self.gap <= self.certified_tail + slack
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Certified evaluation of the three return-word series and their Z-derivatives.
+"""Certified evaluation of the three return-word series.
 
 Everything here reduces to sums of the shape
 
@@ -314,7 +314,8 @@ def single_block_correction(params: ModelParams, beta: float, Z: float) -> float
             * _sigmoid(params.delta * beta))
 
 
-def sigma3(params: ModelParams, beta: float, Z: float) -> SeriesEval:
+def sigma3(params: ModelParams, beta: float, Z: float,
+           base: SeriesEval | None = None) -> SeriesEval:
     """Weight of maximal wing blocks between consecutive 2-strings.
 
     With W = Z - P34(beta):
@@ -322,10 +323,12 @@ def sigma3(params: ModelParams, beta: float, Z: float) -> SeriesEval:
         sigma3 = (1+e^(delta*beta))^-2 * sum_{n>=1} (n+1)^(-eps*beta) e^(-nW)
                  + single_block_correction
 
-    Divergent iff W < 0, or W = 0 with eps*beta <= 1.
+    Divergent iff W < 0, or W = 0 with eps*beta <= 1.  `base` is the sum
+    T(eps*beta, W) when the caller has it already, as the first member of a
+    `tail_sum_pair`.
     """
-    W = Z - wing_pressure(params, beta)
-    base = tail_sum(params.epsilon * beta, W)
+    if base is None:
+        base = tail_sum(params.epsilon * beta, Z - wing_pressure(params, beta))
     if base.divergent:
         return _DIVERGENT
     pref = wing_prefactor(params, beta)
@@ -333,35 +336,3 @@ def sigma3(params: ModelParams, beta: float, Z: float) -> SeriesEval:
     value = base.value * pref + corr
     return SeriesEval(value, base.tail_bound * pref + 4e-16 * abs(value),
                       base.terms_used, False)
-
-
-def dsigma_dZ(which: str, params: ModelParams, beta: float, Z: float) -> SeriesEval:
-    """Term-wise d/dZ of sigma1 / sigma2 / sigma3 (every term gains -n).
-
-    For S3 at W = 0 the derivative series is sum n (n+1)^(-eps*beta), finite
-    iff eps*beta > 2; that boundary decides whether the induced return time
-    has finite expectation.
-    """
-    if which == "S1":
-        r = _one_family_ratio(params, beta, Z)
-        if r >= 1.0:
-            return _DIVERGENT
-        first = math.exp(-params.alpha * beta - Z)
-        return SeriesEval(-first / (1.0 - r) ** 2, 0.0, 0, False)
-    if which == "S2":
-        # n (n+1)^(-s) = (n+1)^(1-s) - (n+1)^(-s)
-        lo, hi = tail_sum_pair(beta, Z)
-        if hi.divergent or lo.divergent:
-            return _DIVERGENT
-        return SeriesEval(-(hi.value - lo.value), hi.tail_bound + lo.tail_bound,
-                          max(hi.terms_used, lo.terms_used), False)
-    if which == "S3":
-        W = Z - wing_pressure(params, beta)
-        lo, hi = tail_sum_pair(params.epsilon * beta, W)
-        if hi.divergent or lo.divergent:
-            return _DIVERGENT
-        pref = wing_prefactor(params, beta)
-        value = -pref * (hi.value - lo.value) - single_block_correction(params, beta, Z)
-        return SeriesEval(value, pref * (hi.tail_bound + lo.tail_bound) + 4e-16 * abs(value),
-                          max(hi.terms_used, lo.terms_used), False)
-    raise ValueError(f"which must be one of 'S1', 'S2', 'S3', got {which!r}")

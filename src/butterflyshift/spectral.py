@@ -11,9 +11,11 @@ from the three series:
 with m = 1 for variant A and m = 2 for variant B (a 2-string can be followed
 by either wing family).
 
-The root solves for the pressure and the composition boundary take these
-maps with their Z-derivatives (every term of a series in e^(-nZ) gains a
-factor -n), evaluated together from two paired series passes.
+Each map has one evaluator: `lambda_1` for lambda_[1] and `composition`
+for m Sigma2 Sigma3.  Asked for its slope, it also returns the
+Z-derivative (every term of a series in e^(-nZ) gains a factor -n), from
+two paired series passes instead of two single ones; the root solves for the
+pressure and the composition boundary ask for it.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .model import ModelParams, wing_pressure
 from .roots import newton_log_offset
 from .series import (
     SeriesEval,
-    dsigma_dZ,
     sigma1,
     sigma2,
     sigma3,
@@ -50,14 +51,18 @@ class SpectralValue:
 
     ``defined`` is False when a constituent diverges or the geometric
     composition condition fails; the constituents stay available so callers
-    can see which one failed.
+    can see which one failed.  Where Sigma1 diverges, Sigma2 and Sigma3 are
+    not evaluated and read None.  ``slope`` is dvalue/dZ (-inf where its
+    series diverges) when the caller asked for it and the value is defined,
+    NaN otherwise.
     """
 
     value: float
     defined: bool
     sigma1: SeriesEval
-    sigma2: SeriesEval
-    sigma3: SeriesEval
+    sigma2: SeriesEval | None
+    sigma3: SeriesEval | None
+    slope: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -67,17 +72,52 @@ class AbscissaReport:
     converges_at_Zc: bool
 
 
-def lambda_1(params: ModelParams, beta: float, Z: float) -> SpectralValue:
-    """Spectral radius of the operator induced on the cylinder [1]."""
+def _wings(params: ModelParams, beta: float, Z: float,
+           slope: bool) -> tuple[SeriesEval, SeriesEval, float, float]:
+    """(Sigma2, Sigma3, dSigma2/dZ, dSigma3/dZ); the slopes are NaN unless `slope`.
+
+    Without `slope` each series is one `tail_sum` pass, as `sigma2` and
+    `sigma3` make it.  With `slope` each is one `tail_sum_pair` pass, T(s, .)
+    and T(s-1, .), since n (n+1)^(-s) = (n+1)^(1-s) - (n+1)^(-s).  A
+    derivative series that diverges (at W = 0 with s <= 2) gives a slope of
+    -inf.
+    """
+    if not slope:
+        return sigma2(params, beta, Z), sigma3(params, beta, Z), math.nan, math.nan
+    s2, t2m = tail_sum_pair(beta, Z)
+    t3, t3m = tail_sum_pair(params.epsilon * beta, Z - wing_pressure(params, beta))
+    s3 = sigma3(params, beta, Z, t3)
+    if s2.divergent or s3.divergent:
+        return s2, s3, math.nan, math.nan
+    pref = wing_prefactor(params, beta)
+    corr = single_block_correction(params, beta, Z)
+    # Sigma3 = pref * T(s, W) + corr, so d/dZ = -pref * (T(s-1, W) - T(s, W)) - corr
+    d2 = -math.inf if t2m.divergent else s2.value - t2m.value
+    d3 = -math.inf if t3m.divergent else (s3.value - corr) - pref * t3m.value - corr
+    return s2, s3, d2, d3
+
+
+def lambda_1(params: ModelParams, beta: float, Z: float,
+             slope: bool = False) -> SpectralValue:
+    """Spectral radius of the operator induced on the cylinder [1].
+
+    With `slope`, the result also carries its Z-derivative, from two paired
+    series passes.
+    """
     s1 = sigma1(params, beta, Z)
-    s2 = sigma2(params, beta, Z)
-    s3 = sigma3(params, beta, Z)
+    if s1.divergent:
+        return SpectralValue(math.nan, False, s1, None, None)
+    s2, s3, d2, d3 = _wings(params, beta, Z, slope)
     m = wing_multiplicity(params)
-    if s1.divergent or s2.divergent or s3.divergent or m * s2.value * s3.value >= 1.0:
+    if s2.divergent or s3.divergent or m * s2.value * s3.value >= 1.0:
         return SpectralValue(math.nan, False, s1, s2, s3)
-    value = s1.value + (s2.value * math.exp(-params.alpha * beta - Z)
-                        / (1.0 - m * s2.value * s3.value))
-    return SpectralValue(value, True, s1, s2, s3)
+    a = math.exp(-params.alpha * beta - Z)
+    den = 1.0 - m * s2.value * s3.value
+    value = s1.value + (s2.value * a / den)
+    # Sigma1 = a / (1 - L a) is geometric; d2 and d3 are NaN without `slope`
+    dvalue = (-a / (1.0 - params.L * a) ** 2 + a * (d2 - s2.value) / den
+              + s2.value * a * m * (d2 * s3.value + s2.value * d3) / den ** 2)
+    return SpectralValue(value, True, s1, s2, s3, dvalue)
 
 
 def lambda_32(params: ModelParams, beta: float, Z: float) -> SpectralValue:
@@ -100,71 +140,23 @@ def lambda_32(params: ModelParams, beta: float, Z: float) -> SpectralValue:
     return SpectralValue(z / (1.0 - z), True, s1, s2, s3)
 
 
-def _wing_series_dZ(params: ModelParams, beta: float,
-                    Z: float) -> tuple[float, float, float, float] | None:
-    """(Sigma2, dSigma2/dZ, Sigma3, dSigma3/dZ), or None if Sigma2 or Sigma3 diverges.
+def composition(params: ModelParams, beta: float, Z: float,
+                slope: bool = False) -> tuple[float, float]:
+    """m * Sigma2 * Sigma3 at (beta, Z) and, with `slope`, its Z-derivative.
 
-    Two paired series passes, T(s, .) and T(s-1, .) for each of the two
-    series, since n (n+1)^(-s) = (n+1)^(1-s) - (n+1)^(-s).  A derivative
-    series that diverges (at W = 0 with s <= 2) gives a slope of -inf.
+    The value is +inf when a series diverges; the slope is NaN then and
+    when it is not asked for.
     """
-    t2, t2m = tail_sum_pair(beta, Z)
-    t3, t3m = tail_sum_pair(params.epsilon * beta, Z - wing_pressure(params, beta))
-    if t2.divergent or t3.divergent:
-        return None
-    pref = wing_prefactor(params, beta)
-    corr = single_block_correction(params, beta, Z)
-    s3 = t3.value * pref + corr  # sigma3
-    # Sigma3 = pref * T(s, W) + corr, so d/dZ = -pref * (T(s-1, W) - T(s, W)) - corr
-    d2 = -math.inf if t2m.divergent else t2.value - t2m.value
-    d3 = -math.inf if t3m.divergent else (s3 - corr) - pref * t3m.value - corr
-    return t2.value, d2, s3, d3
-
-
-def lambda_1_dZ(params: ModelParams, beta: float, Z: float) -> tuple[float, float]:
-    """lambda_[1] at (beta, Z) and its Z-derivative, from two paired series passes.
-
-    The value is that of `lambda_1`, or +inf where `lambda_1` is undefined
-    (the slope is then NaN).
-    """
-    s1 = sigma1(params, beta, Z)
-    if s1.divergent:
-        return math.inf, math.nan
-    wings = _wing_series_dZ(params, beta, Z)
-    m = wing_multiplicity(params)
-    if wings is None or m * wings[0] * wings[2] >= 1.0:
-        return math.inf, math.nan
-    s2, d2, s3, d3 = wings
-    a = math.exp(-params.alpha * beta - Z)
-    den = 1.0 - m * s2 * s3
-    value = s1.value + (s2 * a / den)
-    slope = (dsigma_dZ("S1", params, beta, Z).value + a * (d2 - s2) / den
-             + s2 * a * m * (d2 * s3 + s2 * d3) / den ** 2)
-    return value, slope
-
-
-def composition_dZ(params: ModelParams, beta: float, Z: float) -> tuple[float, float]:
-    """m * Sigma2 * Sigma3 at (beta, Z) and its Z-derivative (+inf, NaN when divergent)."""
-    wings = _wing_series_dZ(params, beta, Z)
-    if wings is None:
-        return math.inf, math.nan
-    s2, d2, s3, d3 = wings
-    m = wing_multiplicity(params)
-    return m * s2 * s3, m * (d2 * s3 + s2 * d3)
-
-
-def _composition(params: ModelParams, beta: float, Z: float) -> float:
-    """m * Sigma2 * Sigma3 at (beta, Z), +inf when a series diverges."""
-    s2 = sigma2(params, beta, Z)
-    s3 = sigma3(params, beta, Z)
+    s2, s3, d2, d3 = _wings(params, beta, Z, slope)
     if s2.divergent or s3.divergent:
-        return math.inf
-    return wing_multiplicity(params) * s2.value * s3.value
+        return math.inf, math.nan
+    m = wing_multiplicity(params)
+    return m * s2.value * s3.value, m * (d2 * s3.value + s2.value * d3)
 
 
 def composition_value_at_floor(params: ModelParams, beta: float) -> float:
     """m * Sigma2 * Sigma3 evaluated at Z = P34(beta) (+inf when divergent)."""
-    return _composition(params, beta, wing_pressure(params, beta))
+    return composition(params, beta, wing_pressure(params, beta))[0]
 
 
 def composition_boundary(params: ModelParams, beta: float) -> float | None:
@@ -180,7 +172,7 @@ def composition_boundary(params: ModelParams, beta: float) -> float | None:
         return None
     z0 = wing_pressure(params, beta)
     return z0 + newton_log_offset(
-        lambda z: composition_dZ(params, beta, z), z0).offset
+        lambda z: composition(params, beta, z, slope=True), z0).offset
 
 
 def abscissa(params: ModelParams, beta: float) -> AbscissaReport:

@@ -9,6 +9,7 @@ from butterflyshift.critical import pressure_34, pressure_full, pressure_mid
 from butterflyshift import oracle
 from butterflyshift.model import ModelParams, ONE, REFERENCE, THREE, TransitionGraph, build_graph
 from butterflyshift.oracle import (
+    OracleComparison,
     abscissa_32,
     check_Ln,
     dp_partial_returns_to_1,
@@ -270,6 +271,17 @@ class TestOracleComparisons:
             Z = pressure_34(params, 0.5) + 0.3
             cmp2 = enumerate_returns_to_32(params, 0.5, Z, 20)
             assert cmp2.consistent
+
+    def test_slack_scales_with_a_tiny_analytic_value(self):
+        # a walk that returned nothing against lambda = 3.4e-305, a gap 14x its
+        # certificate, must not hide inside an absolute slack
+        empty = OracleComparison(3.37663541005968e-305, 0.0, 3.37663541005968e-305, 2.331e-306)
+        assert not empty.consistent
+        # the same row walked in full, and a row where both sides underflow
+        full = OracleComparison(3.37663541005968e-305, 3.37663541005968e-305, -5.059e-321,
+                                2.331e-306)
+        assert full.consistent
+        assert OracleComparison(0.0, 0.0, 0.0, 0.0).consistent
 
     def test_partial_sums_monotone_and_bounded(self):
         beta, Z = 0.5, pressure_full(REFERENCE, 0.5) + 0.25

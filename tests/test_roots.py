@@ -10,13 +10,13 @@ from butterflyshift.critical import beta_hi, critical_set, pressure_34, pressure
 from butterflyshift.model import ModelParams, REFERENCE, wing_pressure
 from butterflyshift.roots import OFFSET_FLOOR, bisect_log_offset, newton_log_offset
 from butterflyshift.spectral import (
+    _wings,
+    composition,
     composition_boundary,
-    composition_dZ,
     composition_value_at_floor,
     lambda_1,
-    lambda_1_dZ,
 )
-from butterflyshift.series import dsigma_dZ, sigma2, sigma3
+from butterflyshift.series import sigma2, sigma3
 
 PARAMS_B = ModelParams(1.0, 0.5, 1.0, 1.0, 1, "B")
 REFERENCE_GRID = [round(0.01 * k, 12) for k in range(121)]
@@ -154,26 +154,58 @@ class TestDerivatives:
     def test_slopes_match_dsigma_and_differences(self, params):
         for beta, w in ((0.3, 0.2), (0.8, 0.05), (1.5, 0.4)):
             z = pressure_34(params, beta) + w
-            value, slope = composition_dZ(params, beta, z)
+            value, slope = composition(params, beta, z, slope=True)
             s2, s3 = sigma2(params, beta, z), sigma3(params, beta, z)
-            d2, d3 = dsigma_dZ("S2", params, beta, z), dsigma_dZ("S3", params, beta, z)
+            _, _, d2, d3 = _wings(params, beta, z, slope=True)
             m = 2 if params.variant == "B" else 1
             assert value == m * s2.value * s3.value
-            assert abs(slope - m * (d2.value * s3.value + s2.value * d3.value)) <= 1e-12 * abs(slope)
-            lam, lam_slope = lambda_1_dZ(params, beta, z)
+            assert abs(slope - m * (d2 * s3.value + s2.value * d3)) <= 1e-12 * abs(slope)
+            lam = lambda_1(params, beta, z, slope=True)
             ref = lambda_1(params, beta, z)
             if not ref.defined:
-                assert lam == math.inf
+                assert not lam.defined and math.isnan(lam.slope)
                 continue
-            assert lam == ref.value
+            assert lam.value == ref.value and math.isnan(ref.slope)
             h = 1e-6
             fd = (lambda_1(params, beta, z + h).value - lambda_1(params, beta, z - h).value) / (2 * h)
-            assert abs(lam_slope - fd) <= 1e-6 * abs(fd)
+            assert abs(lam.slope - fd) <= 1e-6 * abs(fd)
 
-    def test_undefined_is_infinite(self):
-        # far below the pressure floor everything wing-related diverges
-        assert lambda_1_dZ(REFERENCE, 0.5, 0.2)[0] == math.inf
-        assert composition_dZ(REFERENCE, 0.5, 0.2)[0] == math.inf
+    @pytest.mark.parametrize("params", [REFERENCE, PARAMS_B], ids=["A", "B"])
+    @pytest.mark.parametrize("w", [1e-3, 0.019, 0.021], ids=["polylog", "below_seam", "above_seam"])
+    def test_slopes_across_series_regimes(self, params, w):
+        # W = Z - P34 = 1e-3 puts Sigma3 in the polylog expansion, and 0.019 and
+        # 0.021 on either side of its seam with direct summation at W = 0.02;
+        # the steps keep Z +- h inside one regime
+        beta = 1.5
+        z = pressure_34(params, beta) + w
+        h = 1e-6
+
+        def central(f):
+            return (f(z + h) - f(z - h)) / (2 * h)
+
+        lam = lambda_1(params, beta, z, slope=True)
+        assert lam.defined
+        fd = central(lambda x: lambda_1(params, beta, x).value)
+        assert abs(lam.slope - fd) <= 1e-6 * abs(fd)
+        slope = composition(params, beta, z, slope=True)[1]
+        fd = central(lambda x: composition(params, beta, x)[0])
+        assert abs(slope - fd) <= 1e-6 * abs(fd)
+
+    def test_undefined_is_infinite(self, monkeypatch):
+        # far below the pressure floor everything wing-related diverges; the
+        # Newton solves must see +inf there, which counts as above the root
+        seen = []
+
+        def spy(F, floor):
+            seen.append(F(0.2))
+            return newton_log_offset(F, floor)
+
+        monkeypatch.setattr(critical, "newton_log_offset", spy)
+        monkeypatch.setattr(spectral, "newton_log_offset", spy)
+        pressure_full(REFERENCE, 0.5)
+        composition_boundary(REFERENCE, 0.5)
+        assert len(seen) == 2
+        assert all(value == math.inf for value, _ in seen)
 
 
 class TestAgreesWithBisection:
@@ -242,7 +274,16 @@ _log_uniform = st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)
 @settings(max_examples=60, deadline=None)
 def test_pressures_ordered_on_log_uniform_sets(alpha, gamma, delta, epsilon, L, variant, frac):
     params = ModelParams(alpha, gamma, delta, epsilon, L, variant)
-    beta = frac * beta_hi(params)
+    crit = critical_set(params)
+    # the residuals are not asserted: where eps*beta_lo - 1 falls below double
+    # resolution, both roots land on 1/eps with residuals near -1, a known defect
+    assert not any(math.isnan(x) for x in (crit.beta_lo, crit.beta_hi, *crit.bracket_lo,
+                                           *crit.bracket_hi))
+    assert epsilon * crit.beta_lo >= 1.0
+    assert crit.beta_lo <= crit.beta_hi
+    assert crit.bracket_lo[0] <= crit.beta_lo <= crit.bracket_lo[1]
+    assert crit.bracket_hi[0] <= crit.beta_hi <= crit.bracket_hi[1]
+    beta = frac * crit.beta_hi
     p_full, p_mid, p34 = pressure_full(params, beta), pressure_mid(params, beta), pressure_34(params, beta)
     assert not any(math.isnan(p) for p in (p_full, p_mid, p34))
     assert p_full >= p_mid >= p34

@@ -37,6 +37,15 @@ class TestLambda1:
         assert v.sigma3.divergent
         assert math.isnan(v.value)
 
+    def test_wings_skipped_where_one_family_diverges(self):
+        # below log L - alpha*beta the 1-family alone diverges; the wing series
+        # are not evaluated, with or without the slope
+        p = ModelParams(1.0, 0.5, 1.0, 1.0, L=50)
+        for slope in (False, True):
+            v = lambda_1(p, 0.5, 3.0, slope=slope)
+            assert not v.defined and v.sigma1.divergent
+            assert v.sigma2 is None and v.sigma3 is None and math.isnan(v.slope)
+
     def test_defined_implies_constituents_converge(self):
         for z in (1.5, 2.5, 4.0):
             v = lambda_1(REFERENCE, 0.6, z)
