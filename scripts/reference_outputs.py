@@ -1,0 +1,87 @@
+#!/usr/bin/env python3
+"""Record everything the reference CLI invocations produce.
+
+    python scripts/reference_outputs.py OUTDIR
+
+Each invocation runs through `butterflyshift.cli.main` in its own directory
+OUTDIR/<name>/, which afterwards holds `stdout.txt`, `stderr.txt`,
+`exit_code.txt` and any CSV or SVG the command wrote.  The package is
+imported from this checkout's `src/`, so `diff -r` of the OUTDIRs written by
+two checkouts compares their command-line behaviour byte for byte.
+"""
+
+import io
+import os
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, "..", "src"))
+
+from butterflyshift.cli import main  # noqa: E402
+
+CFG = os.path.join(HERE, "..", "configs", "reference.cfg")
+
+B = ["--variant", "B"]
+KNOWN_FAULT = ["--alpha", "3", "--gamma", "0.2", "--delta", "0.5", "--epsilon", "3.5",
+               "--L", "2"]
+
+# name -> argv without --config; --out paths are relative to the invocation's
+# directory, so no absolute path reaches the recorded output
+INVOCATIONS = {
+    "critical_A": ["critical", "--out", "critical.csv"],
+    "critical_B": ["critical", *B, "--out", "critical.csv"],
+    "curves_A": ["curves", "--out", "curves.csv", "--svg"],
+    "curves_B": ["curves", *B, "--out", "curves.csv", "--svg"],
+    "sweep_delta": ["sweep", "--param", "delta", "--values", "1,2,5,10,20",
+                    "--out", "sweep.csv"],
+    "sweep_L": ["sweep", "--param", "L", "--values", "1,5,20,50,100,175,250",
+                "--out", "sweep.csv"],
+    "equilibria_L1": ["equilibria", "--L", "1", "--out", "equilibria.csv"],
+    "equilibria_L250": ["equilibria", "--L", "250", "--out", "equilibria.csv"],
+    "equilibria_B": ["equilibria", *B, "--out", "equilibria.csv"],
+    "equilibria_beta_star": ["equilibria", "--beta-star", "2.5"],
+    "equilibria_B_beta_star": ["equilibria", *B, "--beta-star", "0.3"],
+    "oracle_A": ["oracle"],
+    "oracle_B": ["oracle", *B],
+    "oracle_L4": ["oracle", "--L", "4"],
+    "oracle_L299": ["oracle", "--L", "299"],
+    "oracle_corrupt_edge": ["oracle", "--corrupt-edge", "4:2"],
+    "oracle_delta1500": ["oracle", "--delta", "1500"],
+    "oracle_known_fault": ["oracle", *KNOWN_FAULT],
+}
+
+
+def record(outdir: str, name: str, argv: list[str]) -> int:
+    """Run one invocation inside OUTDIR/name and write its streams and exit code."""
+    rundir = os.path.join(outdir, name)
+    os.makedirs(rundir, exist_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(rundir)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main([argv[0], "--config", CFG, *argv[1:]])
+            except SystemExit as exc:  # argparse rejects a flag or a value
+                code = exc.code
+    finally:
+        os.chdir(cwd)
+    for fname, text in (("stdout.txt", out.getvalue()), ("stderr.txt", err.getvalue()),
+                        ("exit_code.txt", f"{code}\n")):
+        with open(os.path.join(rundir, fname), "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return code
+
+
+def run(outdir: str) -> int:
+    for name, argv in INVOCATIONS.items():
+        code = record(outdir, name, argv)
+        print(f"{name}: exit {code}")
+    return 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} OUTDIR")
+    sys.exit(run(os.path.abspath(sys.argv[1])))

@@ -1,7 +1,7 @@
 """Command-line front end: critical / curves / equilibria / oracle / sweep.
 
 Configuration is a flat key=value text file overridden by command-line flags
-(flag wins).  All CSV output carries a header row and 15-significant-digit
+(flag wins); each command takes the flags of only the settings it reads.  All CSV output carries a header row and 15-significant-digit
 floats; runs are deterministic.  Exit status: 0 success, 1 oracle FAIL,
 2 configuration error.
 """
@@ -11,12 +11,13 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
 import os
 import sys
 from dataclasses import dataclass, replace
 
 from . import critical, oracle
-from .model import ModelParams, build_graph
+from .model import REFERENCE, ModelParams, build_graph
 from .svgchart import write_line_chart
 
 EXIT_OK = 0
@@ -41,6 +42,8 @@ class RunConfig:
     svg: bool = False
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.beta_start, self.beta_stop, self.beta_step))):
+            raise ConfigError("beta_start, beta_stop and beta_step must be finite")
         if self.beta_start < 0:
             raise ConfigError("beta_start must be >= 0")
         if self.beta_stop < self.beta_start:
@@ -55,10 +58,23 @@ class RunConfig:
             raise ConfigError(f"n_ln must be in 2..{oracle.LN_CAP}")
 
 
-_PARAM_KEYS = {"alpha": float, "gamma": float, "delta": float, "epsilon": float,
-               "L": int, "variant": str}
+_PARAM_KEYS = {"variant": str, "alpha": float, "gamma": float, "delta": float,
+               "epsilon": float, "L": int}
 _CONFIG_KEYS = {"beta_start": float, "beta_stop": float, "beta_step": float,
                 "n_return": int, "n_period": int, "n_ln": int, "out": str, "svg": bool}
+_KEYS = {**_PARAM_KEYS, **_CONFIG_KEYS}
+#: the settings each command reads besides the model parameters; a config file
+#: may hold every key, since one file serves all commands
+_COMMAND_KEYS = {
+    "critical": ("out",),
+    "curves": ("beta_start", "beta_stop", "beta_step", "out", "svg"),
+    "equilibria": ("out",),
+    "oracle": ("n_return", "n_period", "n_ln"),
+    "sweep": ("out",),
+}
+_SWEEPABLE = [key for key, typ in _PARAM_KEYS.items() if typ is not str]
+_HELP = {"out": "output CSV path (default: stdout)",
+         "svg": "also write an SVG chart next to the CSV"}
 
 
 def _parse_bool(v: str) -> bool:
@@ -84,11 +100,8 @@ def read_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key in _PARAM_KEYS:
-            typ = _PARAM_KEYS[key]
-        elif key in _CONFIG_KEYS:
-            typ = _CONFIG_KEYS[key]
-        else:
+        typ = _KEYS.get(key)
+        if typ is None:
             raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
             values[key] = _parse_bool(val) if typ is bool else typ(val)
@@ -98,22 +111,10 @@ def read_config_file(path: str) -> dict:
 
 
 def build_run_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if args.config:
-        values.update(read_config_file(args.config))
-    for key in (*_PARAM_KEYS, *_CONFIG_KEYS):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
+    values = read_config_file(args.config) if args.config else {}
+    values.update((k, v) for k, v in vars(args).items() if k in _KEYS and v is not None)
     try:
-        params = ModelParams(
-            alpha=values.get("alpha", 1.0),
-            gamma=values.get("gamma", 0.5),
-            delta=values.get("delta", 1.0),
-            epsilon=values.get("epsilon", 1.0),
-            L=values.get("L", 1),
-            variant=values.get("variant", "A"),
-        )
+        params = replace(REFERENCE, **{k: values[k] for k in _PARAM_KEYS if k in values})
         return RunConfig(params=params,
                          **{k: values[k] for k in _CONFIG_KEYS if k in values})
     except (ValueError, TypeError) as exc:
@@ -199,7 +200,10 @@ def cmd_curves(cfg: RunConfig) -> int:
 def cmd_equilibria(cfg: RunConfig, beta_star: float | None) -> int:
     rows = []
     for which in ("at_beta_lo", "at_beta_hi"):
-        rep = critical.equilibrium_report(cfg.params, which, beta_star=beta_star)
+        try:
+            rep = critical.equilibrium_report(cfg.params, which, beta_star=beta_star)
+        except ValueError as exc:
+            raise ConfigError(f"bad --beta-star: {exc}") from exc
         cyl = "[32]" if which == "at_beta_lo" else "[1]"
         rel = ">" if rep.eps_beta > 2 else "<="
         verdict = (f"eps*beta {rel} 2: "
@@ -262,7 +266,7 @@ def _swept_params(base: ModelParams, param_name: str, text: str) -> ModelParams:
 
 
 def cmd_sweep(cfg: RunConfig, param_name: str, values: list[str]) -> int:
-    if param_name not in ("alpha", "gamma", "delta", "epsilon", "L"):
+    if param_name not in _SWEEPABLE:
         raise ConfigError(f"cannot sweep parameter {param_name!r}")
 
     def one(p):
@@ -280,23 +284,14 @@ def cmd_sweep(cfg: RunConfig, param_name: str, values: list[str]) -> int:
 
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, command: str) -> None:
+    """--config, the model flags and the flags of the settings `command` reads."""
     p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--variant", choices=["A", "B"])
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--L", type=int)
-    p.add_argument("--beta-start", dest="beta_start", type=float)
-    p.add_argument("--beta-stop", dest="beta_stop", type=float)
-    p.add_argument("--beta-step", dest="beta_step", type=float)
-    p.add_argument("--n-return", dest="n_return", type=int)
-    p.add_argument("--n-period", dest="n_period", type=int)
-    p.add_argument("--n-ln", dest="n_ln", type=int)
-    p.add_argument("--out", help="output CSV path (default: stdout)")
-    p.add_argument("--svg", action="store_const", const=True, default=None,
-                   help="also write an SVG chart next to the CSV")
+    for key in (*_PARAM_KEYS, *_COMMAND_KEYS[command]):
+        typ = _KEYS[key]
+        kind = ({"action": "store_const", "const": True, "default": None} if typ is bool
+                else {"type": typ, "choices": ("A", "B") if key == "variant" else None})
+        p.add_argument("--" + key.replace("_", "-"), dest=key, help=_HELP.get(key), **kind)
 
 
 @functools.cache
@@ -307,21 +302,20 @@ def make_parser() -> argparse.ArgumentParser:
                     "subshifts, with brute-force verification oracles.")
     sub = parser.add_subparsers(dest="command", required=True)
     p = sub.add_parser("critical", help="transition parameters beta_lo < beta_hi")
-    _add_common(p)
+    _add_common(p, "critical")
     p = sub.add_parser("curves", help="CSV of P34 / P_mid / P_full over a beta grid")
-    _add_common(p)
+    _add_common(p, "curves")
     p = sub.add_parser("equilibria", help="equilibrium count and cylinder-weight verdicts")
-    _add_common(p)
+    _add_common(p, "equilibria")
     p.add_argument("--beta-star", dest="beta_star", type=float,
                    help="evaluate the criterion at this beta instead of the transitions")
     p = sub.add_parser("oracle", help="run the brute-force verification table")
-    _add_common(p)
+    _add_common(p, "oracle")
     p.add_argument("--corrupt-edge", dest="corrupt_edge",
                    help="test hook: add edge FROM:TO to the graph (negative control)")
     p = sub.add_parser("sweep", help="sweep one parameter, reporting the criticals")
-    _add_common(p)
-    p.add_argument("--param", required=True,
-                   choices=["alpha", "gamma", "delta", "epsilon", "L"])
+    _add_common(p, "sweep")
+    p.add_argument("--param", required=True, choices=_SWEEPABLE)
     p.add_argument("--values", required=True,
                    help="comma-separated parameter values")
     return parser

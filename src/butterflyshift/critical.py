@@ -25,12 +25,7 @@ from functools import lru_cache
 from .model import ModelParams, wing_pressure
 from .roots import bisect_log_offset, newton_log_offset
 from .series import riemann_zeta
-from .spectral import (
-    composition,
-    composition_boundary,
-    composition_value_at_floor,
-    lambda_1,
-)
+from .spectral import composition_boundary, composition_value_at_floor, lambda_1
 
 BELOW_LO = "below_lo"
 BETWEEN = "between"
@@ -215,8 +210,8 @@ def equilibrium_report(params: ModelParams, which: str,
                        beta_star: float | None = None) -> EquilibriumReport:
     """Equilibrium count and cylinder-weight verdict at a transition.
 
-    which is "at_beta_lo" or "at_beta_hi"; beta_star overrides the transition
-    point (the derivative test is still run at the wing pressure floor).
+    which is "at_beta_lo" or "at_beta_hi"; beta_star, finite and >= 0,
+    overrides the transition point.
 
     The decisive quantity is eps*beta at the transition: the Z-derivative of
     the wing series converges there iff eps*beta > 2, which is exactly the
@@ -225,12 +220,15 @@ def equilibrium_report(params: ModelParams, which: str,
     """
     if which not in ("at_beta_lo", "at_beta_hi"):
         raise ValueError(f"which must be 'at_beta_lo' or 'at_beta_hi', got {which!r}")
+    if beta_star is not None and not 0.0 <= beta_star < math.inf:
+        raise ValueError(f"beta_star must be finite and >= 0, got {beta_star!r}")
     crit = critical_set(params)
     b = beta_star if beta_star is not None else (
         crit.beta_lo if which == "at_beta_lo" else crit.beta_hi)
     eps_beta = params.epsilon * b
-    # at the floor m*Sigma2*Sigma3 has a finite slope iff the wing series does
-    finite = math.isfinite(composition(params, b, wing_pressure(params, b), slope=True)[1])
+    # at the floor Z = P34 the wing slope series is T(eps*beta - 1, 0), which
+    # converges iff eps*beta - 1 > 1, i.e. eps*beta > 2
+    finite = eps_beta > 2.0
     # a second equilibrium needs weight on the inducing cylinder (finite return
     # time), except with doubled wings, where the two mirrored wing
     # equilibria always coexist

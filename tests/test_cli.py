@@ -1,10 +1,23 @@
+import argparse
 import csv
 import io
+import math
 import os
 import time
 from contextlib import redirect_stdout
 
-from butterflyshift.cli import EXIT_CONFIG, EXIT_OK, EXIT_ORACLE_FAIL, main
+import pytest
+
+from butterflyshift.cli import (
+    EXIT_CONFIG,
+    EXIT_OK,
+    EXIT_ORACLE_FAIL,
+    ConfigError,
+    RunConfig,
+    main,
+    make_parser,
+)
+from butterflyshift.model import REFERENCE
 
 CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "reference.cfg")
 
@@ -48,6 +61,50 @@ class TestConfig:
                       "--out", str(tmp_path / "c.csv"), "--svg"]):
             code, _ = run(argv)
             assert code == EXIT_CONFIG, argv
+
+
+    def test_non_finite_beta_grid_exits_2(self, tmp_path):
+        # every comparison with NaN is False, so these passed the range
+        # checks, and the curves grid never reached a NaN or infinite end
+        for bad in ({"beta_start": math.nan}, {"beta_stop": math.nan},
+                    {"beta_stop": math.inf}, {"beta_step": math.nan},
+                    {"beta_step": math.inf}):
+            with pytest.raises(ConfigError, match="finite"):
+                RunConfig(params=REFERENCE, **bad)
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("beta_stop = nan\n")
+        code, _ = run(["curves", "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+
+
+class TestFlagSets:
+    MODEL = {"--config", "--variant", "--alpha", "--gamma", "--delta", "--epsilon", "--L"}
+
+    def test_each_command_takes_only_the_flags_it_reads(self):
+        sub = next(a for a in make_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = {name: {opt for a in p._actions for opt in a.option_strings
+                        if opt not in ("-h", "--help")}
+                 for name, p in sub.choices.items()}
+        assert flags == {
+            "critical": self.MODEL | {"--out"},
+            "curves": self.MODEL | {"--beta-start", "--beta-stop", "--beta-step",
+                                    "--out", "--svg"},
+            "equilibria": self.MODEL | {"--out", "--beta-star"},
+            "oracle": self.MODEL | {"--n-return", "--n-period", "--n-ln", "--corrupt-edge"},
+            "sweep": self.MODEL | {"--out", "--param", "--values"},
+        }
+        assert sum(map(len, flags.values())) == 50
+
+    def test_flag_the_command_does_not_read_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for argv in (["oracle", "--out", "t.csv"], ["critical", "--svg"],
+                     ["sweep", "--param", "L", "--values", "1", "--beta-step", "0.1"],
+                     ["curves", "--n-return", "8"], ["equilibria", "--n-ln", "6"]):
+            with pytest.raises(SystemExit) as exc:
+                run([argv[0], "--config", CFG, *argv[1:]])
+            assert exc.value.code == EXIT_CONFIG, argv
+        assert not list(tmp_path.iterdir())
 
 
 class TestCritical:
@@ -119,6 +176,13 @@ class TestEquilibria:
         code, out = run(["equilibria", "--config", CFG, "--variant", "B"])
         assert code == EXIT_OK
         assert "two equilibrium states (one per wing)" in out
+
+    def test_bad_beta_star_exits_2(self, capsys):
+        for bad in ("-1", "nan", "inf"):
+            code, out = run(["equilibria", "--config", CFG, "--beta-star", bad])
+            assert code == EXIT_CONFIG, bad
+            assert out == ""
+            assert "--beta-star" in capsys.readouterr().err
 
 
 class TestOracleCmd:

@@ -19,7 +19,7 @@ from butterflyshift.critical import (
 from butterflyshift.model import ModelParams, REFERENCE, build_graph
 from butterflyshift.oracle import incidence_entropy, no_one_family
 from butterflyshift.series import riemann_zeta, sigma2, sigma3
-from butterflyshift.spectral import composition_value_at_floor, lambda_1
+from butterflyshift.spectral import composition, composition_value_at_floor, lambda_1
 
 from conftest import assert_close
 
@@ -269,6 +269,26 @@ class TestEquilibria:
         # at beta_2 the return time has infinite expectation, yet the two
         # mirrored wing equilibria remain
         assert not lo.return_time_derivative_finite
+
+    def test_verdict_matches_composition_slope(self):
+        # the report reads eps*beta > 2; the numeric path it replaced is the
+        # finiteness of the composition's Z-slope at the wing pressure floor
+        for variant in ("A", "B"):
+            for eps in (0.7, 1.0, 1.9, 2.5, 3.5):
+                p = ModelParams(1.0, 0.5, 1.0, eps, 1, variant)
+                b2 = 2.0 / eps
+                betas = [0.0, b2, math.nextafter(b2, 0.0), math.nextafter(b2, math.inf),
+                         *np.linspace(0.4 * b2, 1.6 * b2, 25)]
+                for beta in map(float, betas):
+                    slope = composition(p, beta, pressure_34(p, beta), slope=True)[1]
+                    verdict = equilibrium_report(p, "at_beta_hi", beta)
+                    assert (math.isfinite(slope) == (eps * beta > 2.0)
+                            == verdict.return_time_derivative_finite), (variant, eps, beta)
+
+    def test_rejects_bad_beta_star(self):
+        for bad in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="beta_star"):
+                equilibrium_report(REFERENCE, "at_beta_lo", bad)
 
     def test_zeta_at_beta_lo(self):
         assert zeta_at_beta_lo(REFERENCE) > 5.0
