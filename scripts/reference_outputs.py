@@ -49,6 +49,18 @@ INVOCATIONS = {
     "oracle_corrupt_edge": ["oracle", "--corrupt-edge", "4:2"],
     "oracle_delta1500": ["oracle", "--delta", "1500"],
     "oracle_known_fault": ["oracle", *KNOWN_FAULT],
+    # lambda_32 near 1e-305: the rows where the gap slack is relative
+    "oracle_delta1400": ["oracle", "--delta", "1400"],
+    "oracle_delta200": ["oracle", "--delta", "200"],
+    "oracle_delta3000": ["oracle", "--delta", "3000"],
+    "oracle_gamma800": ["oracle", "--gamma", "800"],
+    "oracle_B_L7": ["oracle", *B, "--L", "7"],
+    "oracle_L1000": ["oracle", "--L", "1000"],
+    "curves_B_L250": ["curves", *B, "--L", "250", "--alpha", "0.1"],
+    "curves_alpha3_L20": ["curves", "--alpha", "3", "--gamma", "0.2", "--delta", "0.5",
+                          "--epsilon", "3.5", "--L", "20"],
+    "sweep_epsilon": ["sweep", "--param", "epsilon", "--values", "0.5,1,2,3,5,10"],
+    "sweep_alpha": ["sweep", "--param", "alpha", "--values", "0.1,0.5,2,5"],
 }
 
 

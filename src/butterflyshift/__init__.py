@@ -25,7 +25,7 @@ from .critical import (
 )
 from .model import ModelParams, REFERENCE, TransitionGraph, build_graph
 from .oracle import (
-    OracleComparison,
+    Check,
     check_Ln,
     enumerate_returns_to_1,
     enumerate_returns_to_32,
@@ -39,11 +39,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AbscissaReport",
+    "Check",
     "CriticalSet",
     "EquilibriumReport",
     "GateauxReport",
     "ModelParams",
-    "OracleComparison",
     "PressureSample",
     "REFERENCE",
     "SeriesEval",

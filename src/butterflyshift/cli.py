@@ -24,6 +24,8 @@ EXIT_OK = 0
 EXIT_ORACLE_FAIL = 1
 EXIT_CONFIG = 2
 
+MAX_GRID_POINTS = 10**6  # a larger beta grid is a mistyped range, not a run
+
 
 class ConfigError(ValueError):
     pass
@@ -50,6 +52,8 @@ class RunConfig:
             raise ConfigError("beta_stop must be >= beta_start")
         if self.beta_step <= 0:
             raise ConfigError("beta_step must be > 0")
+        if (self.beta_stop - self.beta_start) / self.beta_step >= MAX_GRID_POINTS:
+            raise ConfigError(f"the beta grid must hold at most {MAX_GRID_POINTS} points")
         if not (1 <= self.n_return <= oracle.RAW_HORIZON_CAP):
             raise ConfigError(f"n_return must be in 1..{oracle.RAW_HORIZON_CAP}")
         if not (3 <= self.n_period <= oracle.PERIOD_CAP):

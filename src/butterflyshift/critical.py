@@ -105,8 +105,7 @@ def critical_set(params: ModelParams) -> CriticalSet:
 
     def f_hi(v: float) -> float:
         b = b_lo + v
-        lam = lambda_1(params, b, wing_pressure(params, b))
-        return (lam.value if lam.defined else math.inf) - 1.0
+        return lambda_1(params, b, wing_pressure(params, b)).value - 1.0
 
     hi = bisect_log_offset(f_hi, hi0=max(1.0, b_lo))
     v_hi, residual_hi = hi.offset, hi.residual
@@ -169,7 +168,7 @@ def pressure_full(params: ModelParams, beta: float) -> float:
 
     def F(z: float) -> tuple[float, float]:
         lam = lambda_1(params, beta, z, slope=True)
-        return (lam.value, lam.slope) if lam.defined else (math.inf, math.nan)
+        return lam.value, lam.slope
 
     return z0 + newton_log_offset(F, z0).offset
 

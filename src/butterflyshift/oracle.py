@@ -18,7 +18,7 @@ and periodic-orbit pressure as the trace of a run-length transfer matrix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,12 +37,7 @@ from .model import (
     is_one_family,
     wing_pressure,
 )
-from .spectral import (
-    abscissa,
-    composition_boundary,
-    lambda_1 as _lambda_1,
-    lambda_32 as _lambda_32,
-)
+from .spectral import abscissa, lambda_1 as _lambda_1, lambda_32 as _lambda_32
 
 RAW_HORIZON_CAP = 30
 RETURN_32_HORIZON = 20  # the table's [32] rows enumerate at most this many steps
@@ -63,27 +58,6 @@ PERIODIC_TOL = 0.02
 
 
 @dataclass(frozen=True)
-class OracleComparison:
-    """Analytic value vs. enumerated partial sum, with a certified tail.
-
-    All weights are positive, so the enumeration approaches the analytic
-    value from below: 0 <= gap <= certified_tail whenever the analytic
-    formula and the graph agree.  The rounding slack shrinks with the
-    analytic value below 1, so a tiny value still has to be matched.
-    """
-
-    analytic: float
-    enumerated_partial: float
-    gap: float
-    certified_tail: float
-
-    @property
-    def consistent(self) -> bool:
-        slack = CONSISTENCY_SLACK * min(1.0, abs(self.analytic))
-        return -slack <= self.gap <= self.certified_tail + slack
-
-
-@dataclass(frozen=True)
 class Check:
     """One row of the verification table: gap = analytic - oracle."""
 
@@ -93,6 +67,19 @@ class Check:
     gap: float
     bound: float
     ok: bool
+
+
+def _certified(name: str, analytic: float, partial: float, tail: float) -> Check:
+    """A row whose enumerated partial sum approaches the analytic value from
+    below, within the certified tail bound.
+
+    All weights are positive, so 0 <= gap <= tail whenever the analytic
+    formula and the graph agree.  The rounding slack shrinks with the
+    analytic value below 1, so a tiny value still has to be matched.
+    """
+    gap = analytic - partial
+    slack = CONSISTENCY_SLACK * min(1.0, abs(analytic))
+    return Check(name, analytic, partial, gap, tail, -slack <= gap <= tail + slack)
 
 
 # ---------------------------------------------------------------------------
@@ -189,18 +176,6 @@ def _return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
     return out
 
 
-def dp_partial_returns_to_1(graph: TransitionGraph, params: ModelParams,
-                            beta: float, Z: float, N: int) -> list[float]:
-    """Per-tau first-return mass to [1]; exact aggregation of the literal walk."""
-    return _return_walk(graph, params, beta, Z, N, ONE)
-
-
-def dp_partial_returns_to_32(graph: TransitionGraph, params: ModelParams,
-                             beta: float, Z: float, N: int) -> list[float]:
-    """Per-tau first-return mass to [32]; the walk stays off the 1-family."""
-    return _return_walk(graph, params, beta, Z, N, THREE)
-
-
 def _renewal_tail_bound(lam_fn, params: ModelParams, beta: float, Z: float,
                         N: int, z_floor: float) -> float:
     """Bound on the mass of return words longer than N.
@@ -214,7 +189,7 @@ def _renewal_tail_bound(lam_fn, params: ModelParams, beta: float, Z: float,
     for frac in (0.25, 0.5, 0.75):
         z_probe = z_floor + frac * (Z - z_floor)
         lam = lam_fn(params, beta, z_probe)
-        if not lam.defined or not math.isfinite(lam.value):
+        if not math.isfinite(lam.value):
             continue
         dz = Z - z_probe
         best = min(best, lam.value * math.exp(-(N + 1) * dz) / (1.0 - math.exp(-dz)))
@@ -223,7 +198,7 @@ def _renewal_tail_bound(lam_fn, params: ModelParams, beta: float, Z: float,
 
 def _compare_returns(params: ModelParams, beta: float, Z: float, N: int,
                      graph: TransitionGraph | None, target: str,
-                     z_floor: float | None = None) -> OracleComparison:
+                     z_floor: float | None = None) -> Check:
     """The dp walk's first-return mass to [1] or [32] against the analytic
     lambda; `z_floor`, the convergence abscissa, is solved for when omitted."""
     if graph is None:
@@ -244,13 +219,12 @@ def _compare_returns(params: ModelParams, beta: float, Z: float, N: int,
     lam = lam_fn(params, beta, Z)
     if not lam.defined:
         raise ValueError(f"lambda_{cyl} undefined at the requested point")
-    partial = math.fsum(per_tau)
     tail = _renewal_tail_bound(lam_fn, params, beta, Z, N, z_floor)
-    return OracleComparison(lam.value, partial, lam.value - partial, tail)
+    return _certified(f"returns_to_{cyl} beta={beta:g}", lam.value, math.fsum(per_tau), tail)
 
 
 def enumerate_returns_to_1(params: ModelParams, beta: float, Z: float, N: int,
-                           graph: TransitionGraph | None = None) -> OracleComparison:
+                           graph: TransitionGraph | None = None) -> Check:
     """First-return enumeration to [1] (dp engine, N <= 30) vs. lambda_1 at a
     (beta, Z) strictly inside its convergence domain."""
     return _compare_returns(params, beta, Z, N, graph, ONE)
@@ -258,7 +232,7 @@ def enumerate_returns_to_1(params: ModelParams, beta: float, Z: float, N: int,
 
 def enumerate_returns_to_32(params: ModelParams, beta: float, Z: float, N: int,
                             graph: TransitionGraph | None = None,
-                            z_floor: float | None = None) -> OracleComparison:
+                            z_floor: float | None = None) -> Check:
     """First-return enumeration to [32] (dp engine, N <= 30) vs. lambda_32.
 
     `z_floor` is `abscissa_32(params, beta)` when the caller already has it
@@ -268,13 +242,12 @@ def enumerate_returns_to_32(params: ModelParams, beta: float, Z: float, N: int,
 
 
 def abscissa_32(params: ModelParams, beta: float) -> float:
-    floor = wing_pressure(params, beta)
+    """Infimum of the lambda_[32] convergence domain: P34 for one pair of
+    wings; in variant B, where Sigma2*Sigma3 must stay below 1, the one-wing
+    composition boundary, which is P_mid of variant A."""
     if params.variant == "A":
-        return floor
-    one_wing = ModelParams(params.alpha, params.gamma, params.delta,
-                           params.epsilon, params.L, "A")
-    boundary = composition_boundary(one_wing, beta)  # Sigma2*Sigma3 = 1
-    return boundary if boundary is not None else floor
+        return wing_pressure(params, beta)
+    return critical.pressure_mid(replace(params, variant="A"), beta)
 
 
 # ---------------------------------------------------------------------------
@@ -429,11 +402,6 @@ def _check(name: str, analytic: float, oracle: float, bound: float) -> Check:
     return Check(name, analytic, oracle, gap, bound, abs(gap) <= bound)
 
 
-def _certified(name: str, cmp: OracleComparison) -> Check:
-    return Check(name, cmp.analytic, cmp.enumerated_partial, cmp.gap,
-                 cmp.certified_tail, cmp.consistent)
-
-
 def verification_table(params: ModelParams, graph: TransitionGraph, n_return: int,
                         n_period: int, n_ln: int) -> list[Check]:
     """Every check of the `oracle` command, in the order it prints them.
@@ -449,13 +417,11 @@ def verification_table(params: ModelParams, graph: TransitionGraph, n_return: in
     betas = [0.25, 0.5] if crit.beta_hi > 0.6 else [0.5 * crit.beta_hi]
     pressures = {b: critical.pressure_full(params, b) for b in betas}
     for b in betas:
-        cmp1 = enumerate_returns_to_1(params, b, pressures[b] + 0.2, n_return, graph=graph)
-        rows.append(_certified(f"returns_to_1 beta={b:g}", cmp1))
+        rows.append(enumerate_returns_to_1(params, b, pressures[b] + 0.2, n_return, graph=graph))
         floor32 = abscissa_32(params, b)
         Z32 = max(critical.pressure_34(params, b) + 0.3, floor32 + 0.2)
-        cmp2 = enumerate_returns_to_32(params, b, Z32, min(n_return, RETURN_32_HORIZON),
-                                       graph=graph, z_floor=floor32)
-        rows.append(_certified(f"returns_to_32 beta={b:g}", cmp2))
+        rows.append(enumerate_returns_to_32(params, b, Z32, min(n_return, RETURN_32_HORIZON),
+                                            graph=graph, z_floor=floor32))
     rows.append(_check("entropy vs P(0)", critical.pressure_full(params, 0.0),
                        incidence_entropy(graph), ENTROPY_TOL))
     rows.append(_check("entropy vs P_mid(0)", critical.pressure_mid(params, 0.0),

@@ -50,11 +50,12 @@ class SpectralValue:
     """Induced-operator spectral radius with its series constituents.
 
     ``defined`` is False when a constituent diverges or the geometric
-    composition condition fails; the constituents stay available so callers
-    can see which one failed.  Where Sigma1 diverges, Sigma2 and Sigma3 are
-    not evaluated and read None.  ``slope`` is dvalue/dZ (-inf where its
-    series diverges) when the caller asked for it and the value is defined,
-    NaN otherwise.
+    composition condition fails; ``value`` is +inf then, the value of the
+    diverging positive series, and the constituents stay available so
+    callers can see which one failed.  Where Sigma1 diverges, Sigma2 and
+    Sigma3 are not evaluated and read None.  ``slope`` is dvalue/dZ (-inf
+    where its series diverges) when the caller asked for it and the value is
+    defined, NaN otherwise.
     """
 
     value: float
@@ -106,11 +107,11 @@ def lambda_1(params: ModelParams, beta: float, Z: float,
     """
     s1 = sigma1(params, beta, Z)
     if s1.divergent:
-        return SpectralValue(math.nan, False, s1, None, None)
+        return SpectralValue(math.inf, False, s1, None, None)
     s2, s3, d2, d3 = _wings(params, beta, Z, slope)
     m = wing_multiplicity(params)
     if s2.divergent or s3.divergent or m * s2.value * s3.value >= 1.0:
-        return SpectralValue(math.nan, False, s1, s2, s3)
+        return SpectralValue(math.inf, False, s1, s2, s3)
     a = math.exp(-params.alpha * beta - Z)
     den = 1.0 - m * s2.value * s3.value
     value = s1.value + (s2.value * a / den)
@@ -131,12 +132,12 @@ def lambda_32(params: ModelParams, beta: float, Z: float) -> SpectralValue:
     s2 = sigma2(params, beta, Z)
     s3 = sigma3(params, beta, Z)
     if s2.divergent or s3.divergent:
-        return SpectralValue(math.nan, False, s1, s2, s3)
+        return SpectralValue(math.inf, False, s1, s2, s3)
     z = s2.value * s3.value
     if params.variant == "A":
         return SpectralValue(z, True, s1, s2, s3)
     if z >= 1.0:
-        return SpectralValue(math.nan, False, s1, s2, s3)
+        return SpectralValue(math.inf, False, s1, s2, s3)
     return SpectralValue(z / (1.0 - z), True, s1, s2, s3)
 
 

@@ -76,12 +76,12 @@ def test_criterion_02_operator_identity():
     for beta in (0.2, 0.35, 0.5, 0.65, 0.8):
         Z = pressure_full(REFERENCE, beta) + 0.2
         r1 = enumerate_returns_to_1(REFERENCE, beta, Z, 22)
-        c.check(0.0 <= r1.gap <= r1.certified_tail,
-                f"[1]-returns at beta={beta}: gap={r1.gap:.3e}, tail={r1.certified_tail:.3e}")
+        c.check(0.0 <= r1.gap <= r1.bound,
+                f"[1]-returns at beta={beta}: gap={r1.gap:.3e}, tail={r1.bound:.3e}")
         Z32 = pressure_34(REFERENCE, beta) + 0.25
         r32 = enumerate_returns_to_32(REFERENCE, beta, Z32, 20)
-        c.check(0.0 <= r32.gap <= r32.certified_tail,
-                f"[32]-returns at beta={beta}: gap={r32.gap:.3e}, tail={r32.certified_tail:.3e}")
+        c.check(0.0 <= r32.gap <= r32.bound,
+                f"[32]-returns at beta={beta}: gap={r32.gap:.3e}, tail={r32.bound:.3e}")
     c.finish()
 
 
@@ -245,7 +245,7 @@ def test_criterion_10_negative_control():
     beta = 0.5
     Z = pressure_full(REFERENCE, beta) + 0.2
     bad = enumerate_returns_to_1(REFERENCE, beta, Z, 22, graph=graph)
-    c.check(not (0.0 <= bad.gap <= bad.certified_tail),
+    c.check(not (0.0 <= bad.gap <= bad.bound),
             "corrupted graph unexpectedly passed the criterion-2 check")
     code = cli_main(["oracle", "--alpha", "1", "--gamma", "0.5", "--delta", "1",
                      "--epsilon", "1", "--L", "1", "--n-return", "16",

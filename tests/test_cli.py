@@ -8,6 +8,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from butterflyshift import cli
 from butterflyshift.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -74,6 +75,18 @@ class TestConfig:
         cfg = tmp_path / "nan.cfg"
         cfg.write_text("beta_stop = nan\n")
         code, _ = run(["curves", "--config", str(cfg)])
+        assert code == EXIT_CONFIG
+
+    def test_oversized_beta_grid_exits_2(self):
+        # finite ranges that would ask _beta_grid for about 1e302 points
+        for bad in ({"beta_stop": 1e300}, {"beta_stop": 1.0, "beta_step": 1e-300}):
+            with pytest.raises(ConfigError, match="beta grid"):
+                RunConfig(params=REFERENCE, **bad)
+        cap = cli.MAX_GRID_POINTS
+        RunConfig(params=REFERENCE, beta_stop=cap - 1.0, beta_step=1.0)  # cap points
+        with pytest.raises(ConfigError, match="beta grid"):
+            RunConfig(params=REFERENCE, beta_stop=float(cap), beta_step=1.0)
+        code, _ = run(["curves", "--beta-stop", "1e9"])
         assert code == EXIT_CONFIG
 
 
