@@ -25,6 +25,7 @@ CFG = os.path.join(HERE, "..", "configs", "reference.cfg")
 B = ["--variant", "B"]
 KNOWN_FAULT = ["--alpha", "3", "--gamma", "0.2", "--delta", "0.5", "--epsilon", "3.5",
                "--L", "2"]
+NEAR_BETA_C = ["--beta-start", "1.99", "--beta-stop", "2", "--beta-step", "0.005"]
 
 # name -> argv without --config; --out paths are relative to the invocation's
 # directory, so no absolute path reaches the recorded output
@@ -61,6 +62,10 @@ INVOCATIONS = {
                           "--epsilon", "3.5", "--L", "20"],
     "sweep_epsilon": ["sweep", "--param", "epsilon", "--values", "0.5,1,2,3,5,10"],
     "sweep_alpha": ["sweep", "--param", "alpha", "--values", "0.1,0.5,2,5"],
+    # just below beta_c: the integer branches n = 1, 2, 3 of the polylog expansion
+    "curves_L170_below_beta_c": ["curves", "--L", "170", *NEAR_BETA_C],
+    "curves_L170_eps1.5_below_beta_c": ["curves", "--L", "170", "--epsilon", "1.5",
+                                        *NEAR_BETA_C],
 }
 
 

@@ -134,15 +134,18 @@ def _fmt(x) -> str:
 
 
 def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
-    fh = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
     try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
-    finally:
-        if path:
-            fh.close()
+        fh = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
+        try:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            for row in rows:
+                writer.writerow([_fmt(v) for v in row])
+        finally:
+            if path:
+                fh.close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path or 'stdout'}: {exc}") from exc
 
 
 def _beta_grid(cfg: RunConfig) -> list[float]:
@@ -188,15 +191,18 @@ def cmd_curves(cfg: RunConfig) -> int:
     if cfg.svg:
         crit = critical.critical_set(cfg.params)
         svg_path = (os.path.splitext(cfg.out)[0] + ".svg") if cfg.out else "curves.svg"
-        write_line_chart(
-            svg_path,
-            f"pressure curves (variant {cfg.params.variant})",
-            "beta", "pressure",
-            [("P_full", grid, [s.p_full for s in samples]),
-             ("P_mid", grid, [s.p_mid for s in samples]),
-             ("P_34", grid, [s.p34 for s in samples])],
-            vlines=[(crit.beta_lo, "beta_lo"), (crit.beta_hi, "beta_hi")],
-        )
+        try:
+            write_line_chart(
+                svg_path,
+                f"pressure curves (variant {cfg.params.variant})",
+                "beta", "pressure",
+                [("P_full", grid, [s.p_full for s in samples]),
+                 ("P_mid", grid, [s.p_mid for s in samples]),
+                 ("P_34", grid, [s.p34 for s in samples])],
+                vlines=[(crit.beta_lo, "beta_lo"), (crit.beta_hi, "beta_hi")],
+            )
+        except OSError as exc:
+            raise ConfigError(f"cannot write {svg_path}: {exc}") from exc
         print(f"wrote {svg_path}", file=sys.stderr)
     return EXIT_OK
 
@@ -270,9 +276,6 @@ def _swept_params(base: ModelParams, param_name: str, text: str) -> ModelParams:
 
 
 def cmd_sweep(cfg: RunConfig, param_name: str, values: list[str]) -> int:
-    if param_name not in _SWEEPABLE:
-        raise ConfigError(f"cannot sweep parameter {param_name!r}")
-
     def one(p):
         crit = critical.critical_set(p)
         return [getattr(p, param_name), crit.beta_lo, crit.beta_hi,

@@ -17,9 +17,9 @@ evaluated with an explicit bound on the discarded tail.  Three regimes:
 
 `tail_sum_pair` gives T(s, W) and T(s-1, W) from one pass, the pair that
 every Z-derivative needs: direct summation computes each term once for both
-sums, and the two polylog expansions share their zeta values (the expansion
-converges for W < 2 pi; D. C. Wood, "The computation of polylogarithms",
-Univ. of Kent TR 15-92, 1992).
+sums.  Both read one regime switch, `_sums`, and the polylog expansion
+(convergent for W < 2 pi; D. C. Wood, "The computation of polylogarithms",
+Univ. of Kent TR 15-92, 1992) reads zeta from one bounded memo.
 
 Divergence is always reported through an explicit flag, never by overflow:
 the phase structure downstream branches on convergence boundaries.
@@ -42,6 +42,7 @@ _EPS = 2.0 ** -52
 
 _ASYMPTOTIC_W = 0.02
 _EM_N = 64
+_ZETA_MEMO = 1024
 
 # B_2, B_4, ..., B_24
 _BERNOULLI = (
@@ -67,6 +68,7 @@ class SeriesEval:
 _DIVERGENT = SeriesEval(math.nan, math.nan, 0, True)
 
 
+@functools.lru_cache(maxsize=_ZETA_MEMO)
 def _zeta_any(s: float) -> float:
     """Riemann zeta for any real s != 1 (reflection below 1/2, EM above)."""
     if s == 1.0:
@@ -106,7 +108,8 @@ def _zeta_em(s: float, regular: bool = False) -> float:
 
 
 def riemann_zeta(s: float) -> float:
-    """zeta(s) for s > 1, to absolute error below 1e-12.
+    """zeta(s) for s > 1, to absolute error below 3e-13 + 4 eps |zeta(s)|,
+    the bound `tail_sum(s, 0)` certifies (it grows like 1/(s-1) at the pole).
 
     Direct summation to N with an Euler-Maclaurin tail (integral term plus
     half-term and Bernoulli corrections).
@@ -116,18 +119,12 @@ def riemann_zeta(s: float) -> float:
     return _zeta_any(s)
 
 
-def _harmonic(m: int) -> float:
-    return sum(1.0 / i for i in range(1, m + 1))
-
-
-def _li_expansion(s: float, W: float, zeta=_zeta_any) -> tuple[float, float]:
+def _li_expansion(s: float, W: float) -> tuple[float, float]:
     """Li_s(e^-W) for 0 < W < 1 via the expansion around W = 0.
 
     Returns (value, absolute error estimate).  Positive integer s uses the
     logarithmic variant of the expansion; near-integer s goes through the
-    integer branch with the offset folded into the error estimate.  `zeta`
-    gives the zeta values of the series, so that two expansions can share
-    them.
+    integer branch with the offset folded into the error estimate.
 
     The estimate covers the rounding of the leading term Gamma(1-s) W^(s-1).
     For s < 1/2 both s - 1 and 1 - s may be rounded, by up to half an ulp of
@@ -135,40 +132,36 @@ def _li_expansion(s: float, W: float, zeta=_zeta_any) -> tuple[float, float]:
     e |log W|, and Gamma(1-s) turns it into e |psi(1-s)| <= e (2 + log(1+|s|)).
     """
     nearest = round(s)
-    kmax = 60
     if abs(s - nearest) < 1e-9 and nearest >= 1:
         n = int(nearest)
         drift = abs(s - nearest) * (4.0 + abs(math.log(W)))
         if n == 1:
             v = -math.log(-math.expm1(-W))
             return v, 4e-16 * (1.0 + abs(math.log(W))) + drift * max(1.0, v)
-        lead = (-W) ** (n - 1) / math.factorial(n - 1) * (_harmonic(n - 1) - math.log(W))
-        total = lead
-        mags = abs(lead)
-        term_pow = 1.0
-        for k in range(kmax):
-            if k != n - 1:
-                t = zeta(n - k) * term_pow / math.factorial(k)
-                total += t
-                mags = max(mags, abs(t))
-                if k > 6 and abs(t) < 1e-19 * mags:
-                    break
-            term_pow *= -W
-        return total, mags * 5e-16 + drift * max(1.0, abs(total))
-    lead = math.gamma(1.0 - s) * W ** (s - 1.0)
-    lead_err = abs(lead) * _EPS * (
-        4.0 + abs(s - 1.0) * (abs(math.log(W)) + 2.0 + math.log1p(abs(s))))
+        # the log term takes the place of the k = n-1 zeta term
+        order, skip, lead_err = n, n - 1, 0.0
+        harmonic = sum(1.0 / i for i in range(1, n))
+        lead = (-W) ** (n - 1) / math.factorial(n - 1) * (harmonic - math.log(W))
+    else:
+        order, skip, drift = s, -1, 0.0
+        lead = math.gamma(1.0 - s) * W ** (s - 1.0)
+        lead_err = abs(lead) * _EPS * (
+            4.0 + abs(s - 1.0) * (abs(math.log(W)) + 2.0 + math.log1p(abs(s))))
     total = lead
     mags = abs(lead)
     term_pow = 1.0
-    for k in range(kmax):
-        t = zeta(s - k) * term_pow / math.factorial(k)
-        total += t
-        mags = max(mags, abs(t))
-        if k > 6 and abs(t) < 1e-19 * mags:
-            break
+    for k in range(60):
+        if k != skip:
+            t = _zeta_any(order - k) * term_pow / math.factorial(k)
+            total += t
+            mags = max(mags, abs(t))
+            if k > 6 and abs(t) < 1e-19 * mags:
+                break
         term_pow *= -W
-    return total, mags * 5e-16 + lead_err
+    err = mags * 5e-16 + lead_err
+    if drift:
+        err += drift * max(1.0, abs(total))
+    return total, err
 
 
 def _at_zero(s: float) -> SeriesEval:
@@ -180,10 +173,10 @@ def _at_zero(s: float) -> SeriesEval:
     return SeriesEval(z - 1.0, 3e-13 + 4.0 * _EPS * abs(z), _EM_N, False)
 
 
-def _polylog(s: float, W: float, zeta=_zeta_any) -> SeriesEval:
+def _polylog(s: float, W: float) -> SeriesEval:
     """T(s, W) = e^W (Li_s(e^-W) - e^-W) for 0 < W < 0.02; the bound adds the
     rounding of that last step to the expansion's error."""
-    li, err = _li_expansion(s, W, zeta)
+    li, err = _li_expansion(s, W)
     e_w = math.exp(W)
     value = e_w * (li - math.exp(-W))
     # e^-W is rounded (half an ulp, times e^W) and so are the two operations
@@ -205,12 +198,12 @@ def _direct_tail(s: float, W: float, N: int) -> float:
     return min(geo, poly)
 
 
-def _direct(s: float, W: float, tol: float, paired: bool) -> tuple[SeriesEval, ...]:
+def _direct(s: float, W: float, paired: bool) -> tuple[SeriesEval, ...]:
     """T(s, W), and T(s-1, W) when `paired`, by chunked direct summation.
 
     The terms a_n = (n+1)^(-s) e^(-nW) are computed once per chunk; the s-1
     sum adds (n+1) a_n.  The chunks start at 4096 terms and double (up to
-    2^20) until every reported tail is within tol.
+    2^20) until every reported tail is within DEFAULT_TOL.
     """
     exponents = (s, s - 1.0) if paired else (s,)
     totals = [0.0] * len(exponents)
@@ -224,24 +217,31 @@ def _direct(s: float, W: float, tol: float, paired: bool) -> tuple[SeriesEval, .
             totals[1] += float((m * a).sum())
         N = n0 + chunk - 1
         tails = [_direct_tail(e, W, N) for e in exponents]
-        if max(tails) <= tol or N >= TERM_CAP:
+        if max(tails) <= DEFAULT_TOL or N >= TERM_CAP:
             return tuple(SeriesEval(t, b, N, False) for t, b in zip(totals, tails))
         n0 += chunk
         chunk = min(chunk * 2, 1 << 20)
 
 
-def tail_sum(s: float, W: float, tol: float = DEFAULT_TOL) -> SeriesEval:
+def _sums(s: float, W: float, paired: bool) -> tuple[SeriesEval, ...]:
+    """T(s, W), and T(s-1, W) when `paired`: the one place that picks the
+    regime (divergent, zeta at W = 0, polylog below the seam, direct above)."""
+    exponents = (s, s - 1.0) if paired else (s,)
+    if W < 0.0 or not math.isfinite(W):
+        return (_DIVERGENT,) * len(exponents)
+    if W == 0.0:
+        return tuple(_at_zero(e) for e in exponents)
+    if W < _ASYMPTOTIC_W:
+        return tuple(_polylog(e, W) for e in exponents)
+    return _direct(s, W, paired)
+
+
+def tail_sum(s: float, W: float) -> SeriesEval:
     """T(s, W) = sum_{n>=1} (n+1)^(-s) e^(-nW) with a certified tail bound.
 
     Divergent iff W < 0, or W = 0 with s <= 1.
     """
-    if W < 0.0 or not math.isfinite(W):
-        return _DIVERGENT
-    if W == 0.0:
-        return _at_zero(s)
-    if W < _ASYMPTOTIC_W:
-        return _polylog(s, W)
-    return _direct(s, W, tol, paired=False)[0]
+    return _sums(s, W, False)[0]
 
 
 def tail_sum_pair(s: float, W: float) -> tuple[SeriesEval, SeriesEval]:
@@ -252,22 +252,9 @@ def tail_sum_pair(s: float, W: float) -> tuple[SeriesEval, SeriesEval]:
     `tail_sum` reports for it up to rounding, and a member is divergent
     exactly when `tail_sum` would say so: at W = 0, T(s-1, W) diverges for
     s <= 2.  Direct summation shares its terms between the two sums and runs
-    until both tails are within DEFAULT_TOL; the two polylog expansions share
-    their zeta values, since the s-1 expansion needs zeta(s-1-k) where the s
-    expansion needs zeta(s-k).
+    until both tails are within DEFAULT_TOL.
     """
-    if W < 0.0 or not math.isfinite(W):
-        return _DIVERGENT, _DIVERGENT
-    if W == 0.0:
-        return _at_zero(s), _at_zero(s - 1.0)
-    if W < _ASYMPTOTIC_W:
-        zeta = functools.lru_cache(maxsize=None)(_zeta_any)  # for this call only
-        return _polylog(s, W, zeta), _polylog(s - 1.0, W, zeta)
-    return _direct(s, W, DEFAULT_TOL, paired=True)
-
-
-def _one_family_ratio(params: ModelParams, beta: float, Z: float) -> float:
-    return params.L * math.exp(-params.alpha * beta - Z)
+    return _sums(s, W, True)
 
 
 def sigma1(params: ModelParams, beta: float, Z: float) -> SeriesEval:
@@ -275,7 +262,7 @@ def sigma1(params: ModelParams, beta: float, Z: float) -> SeriesEval:
 
     Geometric, so taken in closed form; divergent iff Z <= log L - alpha*beta.
     """
-    r = _one_family_ratio(params, beta, Z)
+    r = params.L * math.exp(-params.alpha * beta - Z)
     if r >= 1.0:
         return _DIVERGENT
     return SeriesEval(math.exp(-params.alpha * beta - Z) / (1.0 - r), 0.0, 0, False)

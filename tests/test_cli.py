@@ -89,6 +89,21 @@ class TestConfig:
         code, _ = run(["curves", "--beta-stop", "1e9"])
         assert code == EXIT_CONFIG
 
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        for argv in (["critical", "--out", str(missing / "x.csv")],
+                     ["curves", "--out", str(missing / "x.csv"), "--svg"]):
+            code, _ = run([argv[0], "--config", CFG, *argv[1:]])
+            assert code == EXIT_CONFIG, argv
+            err = capsys.readouterr().err
+            assert err.startswith("config error: cannot write") and err.count("\n") == 1, err
+        # the CSV is written and the SVG path is a directory
+        (tmp_path / "x.svg").mkdir()
+        code, _ = run(["curves", "--config", CFG, "--out", str(tmp_path / "x.csv"), "--svg"])
+        assert code == EXIT_CONFIG
+        assert "cannot write" in capsys.readouterr().err
+        assert not missing.exists()
+
 
 class TestFlagSets:
     MODEL = {"--config", "--variant", "--alpha", "--gamma", "--delta", "--epsilon", "--L"}
@@ -113,6 +128,7 @@ class TestFlagSets:
         monkeypatch.chdir(tmp_path)
         for argv in (["oracle", "--out", "t.csv"], ["critical", "--svg"],
                      ["sweep", "--param", "L", "--values", "1", "--beta-step", "0.1"],
+                     ["sweep", "--param", "variant", "--values", "B"],
                      ["curves", "--n-return", "8"], ["equilibria", "--n-ln", "6"]):
             with pytest.raises(SystemExit) as exc:
                 run([argv[0], "--config", CFG, *argv[1:]])

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from butterflyshift.critical import equilibrium_report
+from butterflyshift import series
+from butterflyshift.critical import equilibrium_report, pressure_full, ztilde_c
 from butterflyshift.model import ModelParams, REFERENCE, wing_pressure
 from butterflyshift.series import (
     DEFAULT_TOL,
@@ -22,6 +23,18 @@ from butterflyshift.spectral import _wings, lambda_1
 from conftest import assert_close
 
 EPS = 2.0 ** -52
+
+
+def brute_tail_sum(s, W):
+    """T(s, W) summed term by term over n = 1 .. 2^22 (W > 0)."""
+    n = np.arange(1, 2 ** 22 + 1, dtype=float)
+    return float(((n + 1.0) ** -s * np.exp(-n * W)).sum())
+
+
+def assert_within_certificate(s, W):
+    ev = tail_sum(s, W)
+    err = abs(ev.value - brute_tail_sum(s, W))
+    assert err <= ev.tail_bound + 8 * EPS * abs(ev.value), (s, W, err, ev.tail_bound)
 
 
 def brute_wing_block_series(params, beta, Z, n_terms=400_000):
@@ -98,18 +111,12 @@ class TestSigma2:
         assert sigma2(REFERENCE, 0.5, 0.0).divergent
         assert not sigma2(REFERENCE, 1.0 + 1e-9, 0.0).divergent
 
-    # sigma2 is tail_sum(beta, Z); the tolerance is set on tail_sum itself
+    # sigma2 is tail_sum(beta, Z): its value against a 2^22-term sum
     def test_refinement_stability(self):
-        a = tail_sum(1.5, 0.1, 1e-10)
-        b = tail_sum(1.5, 0.1, 1e-14)
-        assert abs(a.value - b.value) <= 1e-12
+        assert_within_certificate(1.5, 0.1)
 
     def test_tail_certificate(self):
-        # value computed at loose tolerance differs from a much finer run by
-        # at most the reported tail bound
-        loose = tail_sum(1.2, 0.35, 1e-6)
-        fine = tail_sum(1.2, 0.35, 1e-15)
-        assert abs(loose.value - fine.value) <= loose.tail_bound + 1e-15
+        assert_within_certificate(1.2, 0.35)
 
 
 class TestSigma3:
@@ -160,13 +167,10 @@ class TestSigma3:
         assert b.value < a.value
 
     def test_refinement_stability(self):
-        # the series part of sigma3, tail_sum(eps*beta, Z - P34(beta)), at two tolerances
+        # the series part of sigma3, tail_sum(eps*beta, Z - P34(beta))
         beta = 1.1
         z = wing_pressure(REFERENCE, beta) + 0.04
-        w = z - wing_pressure(REFERENCE, beta)
-        loose = tail_sum(REFERENCE.epsilon * beta, w, 1e-8)
-        fine = tail_sum(REFERENCE.epsilon * beta, w, 1e-14)
-        assert abs(loose.value - fine.value) <= max(loose.tail_bound, fine.tail_bound)
+        assert_within_certificate(REFERENCE.epsilon * beta, z - wing_pressure(REFERENCE, beta))
 
     def test_asymptotic_matches_direct_across_switchover(self):
         # the polylog-expansion regime and direct summation agree near W=0.02
@@ -255,6 +259,20 @@ class TestDsigma:
 class TestZeta:
     def test_basel(self):
         assert_close(riemann_zeta(2.0), math.pi ** 2 / 6.0, 1e-12)
+
+    def test_memo_spans_solves(self, monkeypatch):
+        # pressure_full and ztilde_c at one beta expand the same zeta(s - k):
+        # with the memo the second solve needs no new Euler-Maclaurin zeta
+        series._zeta_any.cache_clear()
+        calls = []
+        zeta_em = series._zeta_em
+        monkeypatch.setattr(series, "_zeta_em",
+                            lambda *a, **kw: calls.append(a) or zeta_em(*a, **kw))
+        pressure_full(REFERENCE, 1.0)
+        assert calls
+        calls.clear()
+        ztilde_c(REFERENCE, 1.0)
+        assert calls == []
 
     def test_large_s(self):
         assert_close(riemann_zeta(60.0), 1.0, 1e-15)
