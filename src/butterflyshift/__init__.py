@@ -12,18 +12,14 @@ from .critical import (
     EquilibriumReport,
     GateauxReport,
     PressureSample,
-    beta_hi,
-    beta_lo,
     critical_set,
     equilibrium_report,
     gateaux_check,
-    pressure_34,
     pressure_full,
     pressure_mid,
     pressure_sample,
-    ztilde_c,
 )
-from .model import ModelParams, REFERENCE, TransitionGraph, build_graph
+from .model import ModelParams, REFERENCE, TransitionGraph, build_graph, wing_pressure
 from .oracle import (
     Check,
     check_Ln,
@@ -32,8 +28,9 @@ from .oracle import (
     incidence_entropy,
     periodic_orbit_pressure,
 )
-from .series import SeriesEval, riemann_zeta, sigma1, sigma2, sigma3
-from .spectral import AbscissaReport, SpectralValue, abscissa, lambda_1, lambda_32
+from .series import SeriesEval, riemann_zeta, sigma1, sigma3, tail_sum
+from .spectral import (AbscissaReport, SpectralValue, abscissa, composition_boundary,
+                       lambda_1, lambda_32)
 
 __version__ = "0.1.0"
 
@@ -50,10 +47,9 @@ __all__ = [
     "SpectralValue",
     "TransitionGraph",
     "abscissa",
-    "beta_hi",
-    "beta_lo",
     "build_graph",
     "check_Ln",
+    "composition_boundary",
     "critical_set",
     "enumerate_returns_to_1",
     "enumerate_returns_to_32",
@@ -63,13 +59,12 @@ __all__ = [
     "lambda_1",
     "lambda_32",
     "periodic_orbit_pressure",
-    "pressure_34",
     "pressure_full",
     "pressure_mid",
     "pressure_sample",
     "riemann_zeta",
     "sigma1",
-    "sigma2",
     "sigma3",
-    "ztilde_c",
+    "tail_sum",
+    "wing_pressure",
 ]

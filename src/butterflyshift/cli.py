@@ -9,6 +9,7 @@ floats; runs are deterministic.  Exit status: 0 success, 1 oracle FAIL,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import math
@@ -133,19 +134,25 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
+def _open_out(path: str | None):
+    """The --out file, opened before any computation so that an unwritable
+    path fails at once; without a path, a context that yields None."""
     try:
-        fh = open(path, "w", newline="", encoding="utf-8") if path else sys.stdout
-        try:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
-        finally:
-            if path:
-                fh.close()
+        return open(path, "w", newline="", encoding="utf-8") if path else contextlib.nullcontext()
     except OSError as exc:
-        raise ConfigError(f"cannot write {path or 'stdout'}: {exc}") from exc
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def _write_csv(fh, header: list[str], rows: list[list]) -> None:
+    """The CSV into the open file `fh`, or to stdout when `fh` is None."""
+    fh = fh or sys.stdout
+    try:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+        fh.flush()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {getattr(fh, 'name', 'stdout')}: {exc}") from exc
 
 
 def _beta_grid(cfg: RunConfig) -> list[float]:
@@ -163,7 +170,7 @@ def _beta_grid(cfg: RunConfig) -> list[float]:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_critical(cfg: RunConfig) -> int:
+def cmd_critical(cfg: RunConfig, out) -> int:
     crit = critical.critical_set(cfg.params)
     eb_lo = cfg.params.epsilon * crit.beta_lo
     eb_hi = cfg.params.epsilon * crit.beta_hi
@@ -174,8 +181,8 @@ def cmd_critical(cfg: RunConfig) -> int:
     print(f"eps*{lo_name} = {_fmt(eb_lo)}")
     print(f"eps*{hi_name} = {_fmt(eb_hi)}")
     print(f"zeta(eps*{lo_name}) = {_fmt(zeta_lo)}")
-    if cfg.out:
-        _write_csv(cfg.out,
+    if out:
+        _write_csv(out,
                    ["beta_lo", "beta_hi", "residual_lo", "residual_hi",
                     "eps_beta_lo", "eps_beta_hi", "zeta_eps_beta_lo"],
                    [[crit.beta_lo, crit.beta_hi, crit.residual_lo, crit.residual_hi,
@@ -183,11 +190,11 @@ def cmd_critical(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_curves(cfg: RunConfig) -> int:
+def cmd_curves(cfg: RunConfig, out) -> int:
     grid = _beta_grid(cfg)
     samples = [critical.pressure_sample(cfg.params, b) for b in grid]
     rows = [[s.beta, s.p34, s.p_mid, s.p_full, s.ztilde, s.regime] for s in samples]
-    _write_csv(cfg.out, ["beta", "p34", "p_mid", "p_full", "ztilde", "regime"], rows)
+    _write_csv(out, ["beta", "p34", "p_mid", "p_full", "ztilde", "regime"], rows)
     if cfg.svg:
         crit = critical.critical_set(cfg.params)
         svg_path = (os.path.splitext(cfg.out)[0] + ".svg") if cfg.out else "curves.svg"
@@ -207,13 +214,10 @@ def cmd_curves(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_equilibria(cfg: RunConfig, beta_star: float | None) -> int:
+def cmd_equilibria(cfg: RunConfig, out, beta_star: float | None) -> int:
     rows = []
     for which in ("at_beta_lo", "at_beta_hi"):
-        try:
-            rep = critical.equilibrium_report(cfg.params, which, beta_star=beta_star)
-        except ValueError as exc:
-            raise ConfigError(f"bad --beta-star: {exc}") from exc
+        rep = critical.equilibrium_report(cfg.params, which, beta_star=beta_star)
         cyl = "[32]" if which == "at_beta_lo" else "[1]"
         rel = ">" if rep.eps_beta > 2 else "<="
         verdict = (f"eps*beta {rel} 2: "
@@ -229,8 +233,8 @@ def cmd_equilibria(cfg: RunConfig, beta_star: float | None) -> int:
                      rep.weight_on_cylinder])
     if cfg.params.variant == "B":
         print("above beta_c': two equilibrium states (one per wing); pressure analytic")
-    if cfg.out:
-        _write_csv(cfg.out,
+    if out:
+        _write_csv(out,
                    ["which", "beta_star", "eps_beta", "return_time_derivative_finite",
                     "count_lower_bound", "weight_on_cylinder"], rows)
     return EXIT_OK
@@ -275,17 +279,16 @@ def _swept_params(base: ModelParams, param_name: str, text: str) -> ModelParams:
         raise ConfigError(f"bad --values entry {text!r} for {param_name}: {exc}") from exc
 
 
-def cmd_sweep(cfg: RunConfig, param_name: str, values: list[str]) -> int:
+def cmd_sweep(out, param_name: str, sets: list[ModelParams]) -> int:
     def one(p):
         crit = critical.critical_set(p)
         return [getattr(p, param_name), crit.beta_lo, crit.beta_hi,
                 p.epsilon * crit.beta_lo, p.epsilon * crit.beta_hi,
                 critical.zeta_at_beta_lo(p)]
 
-    sets = [_swept_params(cfg.params, param_name, v) for v in values]
     rows = [one(p) for p in sets]
-    _write_csv(cfg.out, ["value", "beta_lo", "beta_hi", "eps_beta_lo",
-                         "eps_beta_hi", "zeta_eps_beta_lo"], rows)
+    _write_csv(out, ["value", "beta_lo", "beta_hi", "eps_beta_lo",
+                     "eps_beta_hi", "zeta_eps_beta_lo"], rows)
     return EXIT_OK
 
 
@@ -333,20 +336,25 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = build_run_config(args)
-        if args.command == "critical":
-            return cmd_critical(cfg)
-        if args.command == "curves":
-            return cmd_curves(cfg)
-        if args.command == "equilibria":
-            return cmd_equilibria(cfg, args.beta_star)
         if args.command == "oracle":
             return cmd_oracle(cfg, args.corrupt_edge)
         if args.command == "sweep":
             values = [v for v in args.values.split(",") if v.strip()]
             if not values:
                 raise ConfigError("--values is empty")
-            return cmd_sweep(cfg, args.param, values)
-        raise ConfigError(f"unknown command {args.command!r}")
+            sets = [_swept_params(cfg.params, args.param, v) for v in values]
+        beta_star = getattr(args, "beta_star", None)
+        if beta_star is not None and not 0.0 <= beta_star < math.inf:
+            raise ConfigError(
+                f"bad --beta-star: beta_star must be finite and >= 0, got {beta_star!r}")
+        with _open_out(cfg.out) as out:
+            if args.command == "critical":
+                return cmd_critical(cfg, out)
+            if args.command == "curves":
+                return cmd_curves(cfg, out)
+            if args.command == "equilibria":
+                return cmd_equilibria(cfg, out, beta_star)
+            return cmd_sweep(out, args.param, sets)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -19,13 +19,13 @@ log-offset bracket, with the Z-derivative evaluated alongside the value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .model import ModelParams, wing_pressure
 from .roots import bisect_log_offset, newton_log_offset
 from .series import riemann_zeta
-from .spectral import composition_boundary, composition_value_at_floor, lambda_1
+from .spectral import composition, composition_boundary, lambda_1
 
 BELOW_LO = "below_lo"
 BETWEEN = "between"
@@ -36,9 +36,13 @@ ABOVE_HI = "above_hi"
 class CriticalSet:
     """The two transition parameters with solver diagnostics.
 
-    beta_lo is beta_1 (variant A) or beta_2 (variant B); beta_hi is beta_c or
-    beta_c'.  Residuals are the defining-equation values at the returned
-    roots; brackets are the final bisection brackets.
+    beta_lo is beta_1 (variant A) or beta_2 (variant B): the unique root of
+    m*Sigma2*Sigma3(P34(beta), beta) = 1.  That map is strictly decreasing,
+    +inf below eps*beta = 1 (the zeta pole) and -> 0 as beta grows, so the
+    root exists for every parameter set.  beta_hi is beta_c or beta_c': the
+    unique root of lambda_[1](P34(beta), beta) = 1 above beta_lo.  Residuals
+    are the defining-equation values at the returned roots; brackets are the
+    final bisection brackets.
     """
 
     beta_lo: float
@@ -85,20 +89,14 @@ class GateauxReport:
     asymmetric_slopes: tuple[float, float]
 
 
-def pressure_34(params: ModelParams, beta: float) -> float:
-    """Wing pressure P34(beta) = gamma*beta + log(1 + e^(delta*beta)) >= log 2."""
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    return wing_pressure(params, beta)
-
-
 @lru_cache(maxsize=256)
 def critical_set(params: ModelParams) -> CriticalSet:
     """Both transition parameters of the system (cached per parameter set)."""
     eps = params.epsilon
 
     def f_lo(u: float) -> float:
-        return composition_value_at_floor(params, (1.0 + u) / eps) - 1.0
+        b = (1.0 + u) / eps
+        return composition(params, b, wing_pressure(params, b))[0] - 1.0
 
     lo = bisect_log_offset(f_lo)
     b_lo = (1.0 + lo.offset) / eps
@@ -126,31 +124,6 @@ def critical_set(params: ModelParams) -> CriticalSet:
     )
 
 
-def beta_lo(params: ModelParams) -> float:
-    """beta_1 / beta_2: unique root of m*Sigma2*Sigma3(P34(beta), beta) = 1.
-
-    The map is strictly decreasing, +inf below eps*beta = 1 (the zeta pole)
-    and -> 0 as beta grows, so the root exists for every parameter set.
-    """
-    return critical_set(params).beta_lo
-
-
-def beta_hi(params: ModelParams) -> float:
-    """beta_c / beta_c': unique root of lambda_[1](P34(beta), beta) = 1 above beta_lo."""
-    return critical_set(params).beta_hi
-
-
-def ztilde_c(params: ModelParams, beta: float) -> float | None:
-    """The Z > P34(beta) where m*Sigma2*Sigma3 = 1, or None past beta_lo.
-
-    For beta below beta_lo this is the pressure of the subsystem without the
-    1-family; approaching beta_lo it merges with P34.
-    """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
-    return composition_boundary(params, beta)
-
-
 def pressure_full(params: ModelParams, beta: float) -> float:
     """Pressure of the full system.
 
@@ -159,8 +132,6 @@ def pressure_full(params: ModelParams, beta: float) -> float:
     evaluations count as above 1, and are bisected past).  At and above
     beta_hi the pressure sticks to the wing pressure P34.
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
     crit = critical_set(params)
     if beta >= crit.beta_hi:
         return wing_pressure(params, beta)
@@ -179,8 +150,6 @@ def pressure_mid(params: ModelParams, beta: float) -> float:
     Equals the composition boundary Z~_c below beta_lo and P34 from beta_lo
     on; the two branches agree in the limit.
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
     zt = composition_boundary(params, beta)
     return zt if zt is not None else wing_pressure(params, beta)
 
@@ -188,7 +157,8 @@ def pressure_mid(params: ModelParams, beta: float) -> float:
 def pressure_sample(params: ModelParams, beta: float) -> PressureSample:
     """One beta-grid point with all three pressures and its regime label."""
     crit = critical_set(params)
-    zt = ztilde_c(params, beta)
+    p34 = wing_pressure(params, beta)
+    zt = composition_boundary(params, beta)
     if beta < crit.beta_lo:
         regime = BELOW_LO
     elif beta < crit.beta_hi:
@@ -197,8 +167,8 @@ def pressure_sample(params: ModelParams, beta: float) -> PressureSample:
         regime = ABOVE_HI
     return PressureSample(
         beta=beta,
-        p34=pressure_34(params, beta),
-        p_mid=zt if zt is not None else wing_pressure(params, beta),
+        p34=p34,
+        p_mid=zt if zt is not None else p34,
         p_full=pressure_full(params, beta),
         ztilde=zt,
         regime=regime,
@@ -247,11 +217,6 @@ def zeta_at_beta_lo(params: ModelParams) -> float:
     return riemann_zeta(eb) if eb > 1.0 else math.inf
 
 
-def _wing_pressure_gamma(params: ModelParams, beta: float, gamma: float) -> float:
-    return wing_pressure(ModelParams(params.alpha, gamma, params.delta,
-                                     params.epsilon, params.L, params.variant), beta)
-
-
 def gateaux_check(params: ModelParams, beta: float, t_values: list[float]) -> GateauxReport:
     """One-sided difference quotients of the pressure under wing perturbations.
 
@@ -274,10 +239,10 @@ def gateaux_check(params: ModelParams, beta: float, t_values: list[float]) -> Ga
     sym, asym = [], []
     for t in ts:
         # both wings shifted: still two mirrored wings with pressure P34(gamma+t)
-        sym.append((_wing_pressure_gamma(params, beta, params.gamma + t) - p0) / t)
+        p_t = wing_pressure(replace(params, gamma=params.gamma + t), beta)
+        sym.append((p_t - p0) / t)
         # only the unprimed wing shifted: pressure is the larger wing pressure
-        p_t = max(_wing_pressure_gamma(params, beta, params.gamma + t), p0)
-        asym.append((p_t - p0) / t)
+        asym.append((max(p_t, p0) - p0) / t)
     def one_sided(qs):
         left = min(((t, q) for t, q in zip(ts, qs) if t < 0), key=lambda p: abs(p[0]))
         right = min(((t, q) for t, q in zip(ts, qs) if t > 0), key=lambda p: abs(p[0]))

@@ -198,8 +198,11 @@ def wing_pressure(params: ModelParams, beta: float) -> float:
     """Pressure of the wing full shift: gamma*beta + log(1 + e^(delta*beta)).
 
     Equals the log of the top eigenvalue of the 2x2 one-step weight matrix on
-    {3,4}; always >= log 2. Evaluated in overflow-safe form.
+    {3,4}; always >= log 2. Evaluated in overflow-safe form.  This is the
+    one place that rejects beta < 0: every pressure goes through it.
     """
+    if beta < 0:
+        raise ValueError("beta must be >= 0")
     u = params.delta * beta
     if u > 36.0:
         return params.gamma * beta + u + math.log1p(math.exp(-u))

@@ -419,7 +419,7 @@ def verification_table(params: ModelParams, graph: TransitionGraph, n_return: in
     for b in betas:
         rows.append(enumerate_returns_to_1(params, b, pressures[b] + 0.2, n_return, graph=graph))
         floor32 = abscissa_32(params, b)
-        Z32 = max(critical.pressure_34(params, b) + 0.3, floor32 + 0.2)
+        Z32 = max(wing_pressure(params, b) + 0.3, floor32 + 0.2)
         rows.append(enumerate_returns_to_32(params, b, Z32, min(n_return, RETURN_32_HORIZON),
                                             graph=graph, z_floor=floor32))
     rows.append(_check("entropy vs P(0)", critical.pressure_full(params, 0.0),

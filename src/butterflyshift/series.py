@@ -239,7 +239,8 @@ def _sums(s: float, W: float, paired: bool) -> tuple[SeriesEval, ...]:
 def tail_sum(s: float, W: float) -> SeriesEval:
     """T(s, W) = sum_{n>=1} (n+1)^(-s) e^(-nW) with a certified tail bound.
 
-    Divergent iff W < 0, or W = 0 with s <= 1.
+    Divergent iff W < 0, or W = 0 with s <= 1.  The weight of maximal
+    2-strings, Sigma2, is T(beta, Z).
     """
     return _sums(s, W, False)[0]
 
@@ -266,11 +267,6 @@ def sigma1(params: ModelParams, beta: float, Z: float) -> SeriesEval:
     if r >= 1.0:
         return _DIVERGENT
     return SeriesEval(math.exp(-params.alpha * beta - Z) / (1.0 - r), 0.0, 0, False)
-
-
-def sigma2(params: ModelParams, beta: float, Z: float) -> SeriesEval:
-    """sum_{n>=1} (n+1)^(-beta) e^(-nZ): the weight of maximal 2-strings."""
-    return tail_sum(beta, Z)
 
 
 def wing_prefactor(params: ModelParams, beta: float) -> float:

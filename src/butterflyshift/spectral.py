@@ -28,9 +28,9 @@ from .roots import newton_log_offset
 from .series import (
     SeriesEval,
     sigma1,
-    sigma2,
     sigma3,
     single_block_correction,
+    tail_sum,
     tail_sum_pair,
     wing_prefactor,
 )
@@ -77,14 +77,14 @@ def _wings(params: ModelParams, beta: float, Z: float,
            slope: bool) -> tuple[SeriesEval, SeriesEval, float, float]:
     """(Sigma2, Sigma3, dSigma2/dZ, dSigma3/dZ); the slopes are NaN unless `slope`.
 
-    Without `slope` each series is one `tail_sum` pass, as `sigma2` and
-    `sigma3` make it.  With `slope` each is one `tail_sum_pair` pass, T(s, .)
-    and T(s-1, .), since n (n+1)^(-s) = (n+1)^(1-s) - (n+1)^(-s).  A
-    derivative series that diverges (at W = 0 with s <= 2) gives a slope of
-    -inf.
+    Without `slope` each series is one `tail_sum` pass: Sigma2 is
+    `tail_sum(beta, Z)` and `sigma3` makes Sigma3.  With `slope` each is one
+    `tail_sum_pair` pass, T(s, .) and T(s-1, .), since n (n+1)^(-s) =
+    (n+1)^(1-s) - (n+1)^(-s).  A derivative series that diverges (at W = 0
+    with s <= 2) gives a slope of -inf.
     """
     if not slope:
-        return sigma2(params, beta, Z), sigma3(params, beta, Z), math.nan, math.nan
+        return tail_sum(beta, Z), sigma3(params, beta, Z), math.nan, math.nan
     s2, t2m = tail_sum_pair(beta, Z)
     t3, t3m = tail_sum_pair(params.epsilon * beta, Z - wing_pressure(params, beta))
     s3 = sigma3(params, beta, Z, t3)
@@ -129,7 +129,7 @@ def lambda_32(params: ModelParams, beta: float, Z: float) -> SpectralValue:
     number of times first, giving the geometric composition.
     """
     s1 = SeriesEval(0.0, 0.0, 0, False)  # the 1-family plays no role here
-    s2 = sigma2(params, beta, Z)
+    s2 = tail_sum(beta, Z)
     s3 = sigma3(params, beta, Z)
     if s2.divergent or s3.divergent:
         return SpectralValue(math.inf, False, s1, s2, s3)
@@ -155,11 +155,6 @@ def composition(params: ModelParams, beta: float, Z: float,
     return m * s2.value * s3.value, m * (d2 * s3.value + s2.value * d3)
 
 
-def composition_value_at_floor(params: ModelParams, beta: float) -> float:
-    """m * Sigma2 * Sigma3 evaluated at Z = P34(beta) (+inf when divergent)."""
-    return composition(params, beta, wing_pressure(params, beta))[0]
-
-
 def composition_boundary(params: ModelParams, beta: float) -> float | None:
     """The Z above P34(beta) where m*Sigma2*Sigma3 crosses 1, if it does.
 
@@ -169,9 +164,9 @@ def composition_boundary(params: ModelParams, beta: float) -> float | None:
     steps on the map and its Z-derivative.  A root closer to the floor than the solver
     can resolve (floor value within 1e-11 of 1) also counts as absent.
     """
-    if composition_value_at_floor(params, beta) <= 1.0 + 1e-11:
-        return None
     z0 = wing_pressure(params, beta)
+    if composition(params, beta, z0)[0] <= 1.0 + 1e-11:
+        return None
     return z0 + newton_log_offset(
         lambda z: composition(params, beta, z, slope=True), z0).offset
 
@@ -183,8 +178,6 @@ def abscissa(params: ModelParams, beta: float) -> AbscissaReport:
     names which of the three binds and whether the operator still converges at
     Z_c itself (it does only on the pressure floor past the small transition).
     """
-    if beta < 0:
-        raise ValueError("beta must be >= 0")
     geo = math.log(params.L) - params.alpha * beta
     floor = wing_pressure(params, beta)
     wing = composition_boundary(params, beta)
@@ -193,7 +186,7 @@ def abscissa(params: ModelParams, beta: float) -> AbscissaReport:
         candidates.append((wing, WING_COMPOSITION))
     z_c, binding = max(candidates, key=lambda c: c[0])
     if binding == PRESSURE_FLOOR:
-        converges = composition_value_at_floor(params, beta) < 1.0 and geo < floor
+        converges = composition(params, beta, floor)[0] < 1.0 and geo < floor
     else:
         # Sigma1 diverges at its own boundary; Sigma2*Sigma3 hits 1 at the
         # composition boundary: either way the operator diverges at Z_c.

@@ -12,16 +12,13 @@ import time
 import numpy as np
 from butterflyshift.cli import EXIT_ORACLE_FAIL, main as cli_main
 from butterflyshift.critical import (
-    beta_hi,
-    beta_lo,
     critical_set,
     equilibrium_report,
     gateaux_check,
-    pressure_34,
     pressure_full,
     pressure_mid,
 )
-from butterflyshift.model import ModelParams, REFERENCE, build_graph
+from butterflyshift.model import ModelParams, REFERENCE, build_graph, wing_pressure
 from butterflyshift.oracle import (
     check_Ln,
     enumerate_returns_to_1,
@@ -78,7 +75,7 @@ def test_criterion_02_operator_identity():
         r1 = enumerate_returns_to_1(REFERENCE, beta, Z, 22)
         c.check(0.0 <= r1.gap <= r1.bound,
                 f"[1]-returns at beta={beta}: gap={r1.gap:.3e}, tail={r1.bound:.3e}")
-        Z32 = pressure_34(REFERENCE, beta) + 0.25
+        Z32 = wing_pressure(REFERENCE, beta) + 0.25
         r32 = enumerate_returns_to_32(REFERENCE, beta, Z32, 20)
         c.check(0.0 <= r32.gap <= r32.bound,
                 f"[32]-returns at beta={beta}: gap={r32.gap:.3e}, tail={r32.bound:.3e}")
@@ -92,7 +89,7 @@ def test_criterion_03_entropy_at_beta_zero():
     h_mid = incidence_entropy(graph, restrict_to=no_one_family(graph))
     c.check(abs(pressure_full(REFERENCE, 0.0) - h_full) < 1e-8, "P(0) vs full entropy")
     c.check(abs(pressure_mid(REFERENCE, 0.0) - h_mid) < 1e-8, "P_mid(0) vs sub entropy")
-    c.check(abs(pressure_34(REFERENCE, 0.0) - math.log(2.0)) < 1e-14, "P34(0) vs log 2")
+    c.check(abs(wing_pressure(REFERENCE, 0.0) - math.log(2.0)) < 1e-14, "P34(0) vs log 2")
     c.finish()
 
 
@@ -103,15 +100,15 @@ def test_criterion_04_transition_structure():
     c.check(crit.beta_lo < crit.beta_hi, "beta_lo < beta_hi (wide)")
     c.check(abs(crit.residual_lo) < 1e-9 and abs(crit.residual_hi) < 1e-9,
             f"residuals (wide): {crit.residual_lo:.2e}, {crit.residual_hi:.2e}")
-    c.check(abs(pressure_full(WIDE, crit.beta_hi - 1e-6) - pressure_34(WIDE, crit.beta_hi)) < 1e-4,
+    c.check(abs(pressure_full(WIDE, crit.beta_hi - 1e-6) - wing_pressure(WIDE, crit.beta_hi)) < 1e-4,
             "continuity at the transition (wide)")
     for b in np.arange(0.0, crit.beta_hi - 0.01 + 1e-12, 0.01):
-        gap = pressure_full(WIDE, float(b)) - pressure_34(WIDE, float(b))
+        gap = pressure_full(WIDE, float(b)) - wing_pressure(WIDE, float(b))
         if not gap > 0.0:
             c.check(False, f"gap not positive at beta={b:.2f} (wide)")
             break
     for b in (crit.beta_hi, crit.beta_hi + 0.05, crit.beta_hi + 1.0):
-        c.check(abs(pressure_full(WIDE, b) - pressure_34(WIDE, b)) <= 1e-12,
+        c.check(abs(pressure_full(WIDE, b) - wing_pressure(WIDE, b)) <= 1e-12,
                 f"gap not zero at beta={b:.4f} (wide)")
     # reference configuration: same clauses; the strict-positivity grid stops
     # at 0.93 because beyond it the true gap P - P34 drops below double
@@ -121,15 +118,15 @@ def test_criterion_04_transition_structure():
     c.check(abs(critr.residual_lo) < 1e-9 and abs(critr.residual_hi) < 1e-9,
             "residuals (reference)")
     c.check(abs(pressure_full(REFERENCE, critr.beta_hi - 1e-6)
-                - pressure_34(REFERENCE, critr.beta_hi)) < 1e-4,
+                - wing_pressure(REFERENCE, critr.beta_hi)) < 1e-4,
             "continuity at the transition (reference)")
     for b in np.arange(0.0, 0.93 + 1e-12, 0.01):
-        gap = pressure_full(REFERENCE, float(b)) - pressure_34(REFERENCE, float(b))
+        gap = pressure_full(REFERENCE, float(b)) - wing_pressure(REFERENCE, float(b))
         if not gap > 0.0:
             c.check(False, f"gap not positive at beta={b:.2f} (reference)")
             break
     for b in (critr.beta_hi, critr.beta_hi + 0.3):
-        c.check(abs(pressure_full(REFERENCE, b) - pressure_34(REFERENCE, b)) <= 1e-12,
+        c.check(abs(pressure_full(REFERENCE, b) - wing_pressure(REFERENCE, b)) <= 1e-12,
                 f"gap not zero at beta={b:.4f} (reference)")
     c.finish()
 
@@ -141,7 +138,7 @@ def test_criterion_05_eps_beta_lo_bounds():
         a, g, d, e = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=4))
         L = int(rng.integers(1, 21))
         p = ModelParams(float(a), float(g), float(d), float(e), L=L)
-        eb = p.epsilon * beta_lo(p)
+        eb = p.epsilon * critical_set(p).beta_lo
         c.check(1.0 < eb < 2.0, f"eps*beta_lo={eb} out of (1,2) at draw {i}: {p}")
         c.check(riemann_zeta(eb) > 5.0, f"zeta(eps*beta_lo)={riemann_zeta(eb)} <= 5 at {p}")
     c.finish()
@@ -152,7 +149,7 @@ def test_criterion_06_regime_realizability():
     eb_delta = []
     for d in (1.0, 2.0, 5.0, 10.0, 20.0):
         p = ModelParams(1.0, 0.5, float(d), 1.0, L=1)
-        eb_delta.append(p.epsilon * beta_hi(p))
+        eb_delta.append(p.epsilon * critical_set(p).beta_hi)
     c.check(all(a > b for a, b in zip(eb_delta, eb_delta[1:])),
             f"delta-sweep eps*beta_c not strictly decreasing: {eb_delta}")
     c.check(eb_delta[-1] < 2.0, f"eps*beta_c at delta=20 is {eb_delta[-1]}, not < 2")
@@ -163,7 +160,7 @@ def test_criterion_06_regime_realizability():
     eb_L = []
     for L in (1, 5, 20, 50):
         p = ModelParams(1.0, 0.5, 1.0, 1.0, L=L)
-        eb_L.append(p.epsilon * beta_hi(p))
+        eb_L.append(p.epsilon * critical_set(p).beta_hi)
     c.check(all(a < b for a, b in zip(eb_L, eb_L[1:])),
             f"L-sweep eps*beta_c not strictly increasing: {eb_L}")
     # unattainable as stated: at the reference parameters the transition
@@ -195,7 +192,7 @@ def test_criterion_07_strict_convexity():
         e = float(np.exp(rng.uniform(np.log(1.0), np.log(10.0))))  # keeps the grid short
         configs.append(ModelParams(float(a), float(g), float(d), e, L=int(rng.integers(1, 21))))
     for p in configs:
-        b_c = beta_hi(p)
+        b_c = critical_set(p).beta_hi
         grid = np.arange(0.0, b_c - 0.05 + 1e-12, 0.01)
         if len(grid) < 3:
             continue
@@ -213,7 +210,7 @@ def test_criterion_08_variant_b():
     c.check(abs(crit.residual_lo) < 1e-9 and abs(crit.residual_hi) < 1e-9, "residuals")
     grid = [crit.beta_hi + 0.05 * k for k in range(1, 12)]
     p_vals = [pressure_full(PARAMS_B, b) for b in grid]
-    w_vals = [pressure_34(PARAMS_B, b) for b in grid]
+    w_vals = [wing_pressure(PARAMS_B, b) for b in grid]
     c.check(max(abs(a - b) for a, b in zip(p_vals, w_vals)) == 0.0,
             "pressure above beta_c' equals the wing pressure")
     d2p = [p_vals[i - 1] - 2 * p_vals[i] + p_vals[i + 1] for i in range(1, len(grid) - 1)]

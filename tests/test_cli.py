@@ -8,7 +8,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from butterflyshift import cli
+from butterflyshift import cli, critical
 from butterflyshift.cli import (
     EXIT_CONFIG,
     EXIT_OK,
@@ -103,6 +103,30 @@ class TestConfig:
         assert code == EXIT_CONFIG
         assert "cannot write" in capsys.readouterr().err
         assert not missing.exists()
+
+    def test_unwritable_output_exits_2_before_computing(self, tmp_path, monkeypatch, capsys):
+        calls = []
+        for name in ("critical_set", "pressure_sample"):
+            fn = getattr(critical, name)
+            monkeypatch.setattr(critical, name,
+                                lambda *a, fn=fn: calls.append(a) or fn(*a))
+        out = str(tmp_path / "missing" / "x.csv")
+        for argv in (["critical"], ["curves", "--beta-step", "0.002"], ["equilibria"],
+                     ["sweep", "--param", "delta", "--values", "1,2"]):
+            code, stdout = run([argv[0], "--config", CFG, *argv[1:], "--out", out])
+            assert code == EXIT_CONFIG, argv
+            assert calls == [] and stdout == "", argv
+            assert capsys.readouterr().err.startswith("config error: cannot write"), argv
+
+    def test_config_error_before_the_run_leaves_no_file(self, tmp_path):
+        out = tmp_path / "x.csv"
+        for argv in (["sweep", "--param", "L", "--values", "1,2.5"],
+                     ["sweep", "--param", "L", "--values", ","],
+                     ["equilibria", "--beta-star", "-1"],
+                     ["curves", "--beta-start", "1", "--beta-stop", "0.5"]):
+            code, _ = run([argv[0], "--config", CFG, *argv[1:], "--out", str(out)])
+            assert code == EXIT_CONFIG, argv
+            assert not out.exists(), argv
 
 
 class TestFlagSets:

@@ -4,22 +4,18 @@ import numpy as np
 import pytest
 
 from butterflyshift.critical import (
-    beta_hi,
-    beta_lo,
     critical_set,
     equilibrium_report,
     gateaux_check,
-    pressure_34,
     pressure_full,
     pressure_mid,
     pressure_sample,
-    ztilde_c,
     zeta_at_beta_lo,
 )
-from butterflyshift.model import ModelParams, REFERENCE, build_graph
+from butterflyshift.model import ModelParams, REFERENCE, build_graph, wing_pressure
 from butterflyshift.oracle import incidence_entropy, no_one_family
-from butterflyshift.series import riemann_zeta, sigma2, sigma3
-from butterflyshift.spectral import composition, composition_value_at_floor, lambda_1
+from butterflyshift.series import riemann_zeta, sigma3, tail_sum
+from butterflyshift.spectral import abscissa, composition, composition_boundary, lambda_1
 
 from conftest import assert_close
 
@@ -31,11 +27,11 @@ WIDE = ModelParams(1.0, 0.5, 1.0, 1.0, L=50)
 
 class TestPressure34:
     def test_at_zero(self):
-        assert_close(pressure_34(REFERENCE, 0.0), math.log(2.0), 1e-15)
+        assert_close(wing_pressure(REFERENCE, 0.0), math.log(2.0), 1e-15)
 
     def test_closed_form_instance(self):
         p = ModelParams(1.0, 0.5, 1.0, 1.0)
-        assert_close(pressure_34(p, 1.0), 0.5 + math.log(1.0 + math.e), 1e-14)
+        assert_close(wing_pressure(p, 1.0), 0.5 + math.log(1.0 + math.e), 1e-14)
 
     def test_two_by_two_eigenvalue_oracle(self):
         # rows of the one-step weight matrix on {3,4} are identical, so the
@@ -44,43 +40,53 @@ class TestPressure34:
             M = np.array([[math.exp(0.5 * beta), math.exp(1.5 * beta)],
                           [math.exp(0.5 * beta), math.exp(1.5 * beta)]])
             top = max(abs(np.linalg.eigvals(M)))
-            assert_close(pressure_34(REFERENCE, beta), math.log(top), 1e-12)
+            assert_close(wing_pressure(REFERENCE, beta), math.log(top), 1e-12)
 
     def test_always_above_log2(self):
         for beta in np.linspace(0.0, 5.0, 23):
-            assert pressure_34(REFERENCE, float(beta)) >= math.log(2.0) - 1e-15
+            assert wing_pressure(REFERENCE, float(beta)) >= math.log(2.0) - 1e-15
 
     def test_rejects_negative_beta(self):
         with pytest.raises(ValueError):
-            pressure_34(REFERENCE, -0.1)
+            wing_pressure(REFERENCE, -0.1)
+
+
+@pytest.mark.parametrize("fn", [pressure_full, pressure_mid, pressure_sample,
+                                composition_boundary, abscissa, wing_pressure],
+                         ids=lambda fn: fn.__name__)
+def test_every_pressure_rejects_negative_beta(fn):
+    # wing_pressure holds the one check; every other pressure goes through it
+    with pytest.raises(ValueError, match="beta must be >= 0"):
+        fn(REFERENCE, -0.1)
 
 
 class TestBetaLo:
     def test_reference_value_brackets(self):
-        b1 = beta_lo(REFERENCE)
+        b1 = critical_set(REFERENCE).beta_lo
         assert 1.0 < b1 < 1.05
         crit = critical_set(REFERENCE)
         assert abs(crit.residual_lo) < 1e-9
 
     def test_eps_beta_window_and_zeta(self):
-        b1 = beta_lo(REFERENCE)
+        b1 = critical_set(REFERENCE).beta_lo
         eb = REFERENCE.epsilon * b1
         assert 1.0 < eb < 2.0
         assert riemann_zeta(eb) > 5.0
 
     def test_grid_scan_cross_check(self):
         # the defining map changes sign across the computed root on a fine grid
-        b1 = beta_lo(REFERENCE)
+        b1 = critical_set(REFERENCE).beta_lo
         grid = np.linspace(1.0 + 1e-6, 1.1, 10_000)
-        vals = [composition_value_at_floor(REFERENCE, float(b)) - 1.0 for b in grid]
+        vals = [composition(REFERENCE, float(b), wing_pressure(REFERENCE, float(b)))[0] - 1.0
+                for b in grid]
         crossings = [i for i in range(len(vals) - 1) if vals[i] > 0 >= vals[i + 1]]
         assert len(crossings) == 1
         lo, hi = grid[crossings[0]], grid[crossings[0] + 1]
         assert lo <= b1 <= hi
 
     def test_independent_of_alpha_and_L(self):
-        b1 = beta_lo(REFERENCE)
-        assert_close(beta_lo(ModelParams(3.7, 0.5, 1.0, 1.0, L=7)), b1, 1e-12)
+        b1 = critical_set(REFERENCE).beta_lo
+        assert_close(critical_set(ModelParams(3.7, 0.5, 1.0, 1.0, L=7)).beta_lo, b1, 1e-12)
 
 
 class TestBetaHi:
@@ -101,43 +107,43 @@ class TestBetaHi:
         assert crit.beta_hi == crit.bracket_hi[1]
 
     def test_lambda_equals_one(self):
-        b_c = beta_hi(WIDE)
-        lam = lambda_1(WIDE, b_c, pressure_34(WIDE, b_c))
+        b_c = critical_set(WIDE).beta_hi
+        lam = lambda_1(WIDE, b_c, wing_pressure(WIDE, b_c))
         assert lam.defined
         assert_close(lam.value, 1.0, 1e-9)
 
     def test_wide_config_value(self):
         # the Sigma1 pole at log L = alpha*beta + P34 pins the transition
-        b_c = beta_hi(WIDE)
-        u = WIDE.alpha * b_c + pressure_34(WIDE, b_c)
+        b_c = critical_set(WIDE).beta_hi
+        u = WIDE.alpha * b_c + wing_pressure(WIDE, b_c)
         assert abs((WIDE.L + 1) * math.exp(-u) - 1.0) < 5e-3
         assert 1.4 < b_c < 1.6
 
 
 class TestZtilde:
     def test_exists_below_absent_above(self):
-        b1 = beta_lo(REFERENCE)
-        assert ztilde_c(REFERENCE, 0.5) is not None
-        assert ztilde_c(REFERENCE, b1) is None
-        assert ztilde_c(REFERENCE, b1 + 0.3) is None
+        b1 = critical_set(REFERENCE).beta_lo
+        assert composition_boundary(REFERENCE, 0.5) is not None
+        assert composition_boundary(REFERENCE, b1) is None
+        assert composition_boundary(REFERENCE, b1 + 0.3) is None
 
     def test_above_wing_pressure(self):
-        zt = ztilde_c(REFERENCE, 0.4)
-        assert zt > pressure_34(REFERENCE, 0.4)
+        zt = composition_boundary(REFERENCE, 0.4)
+        assert zt > wing_pressure(REFERENCE, 0.4)
 
     def test_merges_at_transition(self):
-        b1 = beta_lo(REFERENCE)
-        zt = ztilde_c(REFERENCE, b1 - 1e-7)
+        b1 = critical_set(REFERENCE).beta_lo
+        zt = composition_boundary(REFERENCE, b1 - 1e-7)
         assert zt is not None
-        assert zt - pressure_34(REFERENCE, b1) < 1e-6
+        assert zt - wing_pressure(REFERENCE, b1) < 1e-6
 
     def test_fine_grid_scan_cross_check(self):
         beta = 0.5
-        zt = ztilde_c(REFERENCE, beta)
-        z0 = pressure_34(REFERENCE, beta)
+        zt = composition_boundary(REFERENCE, beta)
+        z0 = wing_pressure(REFERENCE, beta)
 
         def comp(z):
-            return sigma2(REFERENCE, beta, z).value * sigma3(REFERENCE, beta, z).value
+            return tail_sum(beta, z).value * sigma3(REFERENCE, beta, z).value
 
         grid = np.linspace(z0 + 1e-4, z0 + 0.2, 4000)
         vals = [comp(float(z)) - 1.0 for z in grid]
@@ -147,9 +153,9 @@ class TestZtilde:
 
     def test_exists_at_small_beta(self):
         # at beta -> 0 the boundary approaches the no-1-family entropy
-        zt = ztilde_c(REFERENCE, 0.01)
+        zt = composition_boundary(REFERENCE, 0.01)
         assert zt is not None
-        assert zt > pressure_34(REFERENCE, 0.01) > math.log(2.0)
+        assert zt > wing_pressure(REFERENCE, 0.01) > math.log(2.0)
         assert abs(zt - math.log(1.0 + math.sqrt(2.0))) < 0.05
 
 
@@ -161,17 +167,17 @@ class TestPressureFull:
 
     def test_above_wing_pressure_below_transition(self):
         for beta in (0.0, 0.3, 0.7, 1.0, 1.3):
-            gap = pressure_full(WIDE, beta) - pressure_34(WIDE, beta)
+            gap = pressure_full(WIDE, beta) - wing_pressure(WIDE, beta)
             assert gap > 1e-6, f"beta={beta}"
 
     def test_sticks_to_wing_pressure_after(self):
-        b_c = beta_hi(REFERENCE)
+        b_c = critical_set(REFERENCE).beta_hi
         for beta in (b_c, b_c + 0.2, b_c + 2.0):
-            assert pressure_full(REFERENCE, beta) == pressure_34(REFERENCE, beta)
+            assert pressure_full(REFERENCE, beta) == wing_pressure(REFERENCE, beta)
 
     def test_continuity_at_transition(self):
-        b_c = beta_hi(WIDE)
-        assert abs(pressure_full(WIDE, b_c - 1e-6) - pressure_34(WIDE, b_c)) < 1e-4
+        b_c = critical_set(WIDE).beta_hi
+        assert abs(pressure_full(WIDE, b_c - 1e-6) - wing_pressure(WIDE, b_c)) < 1e-4
 
     def test_residual_at_root(self):
         for beta in (0.2, 0.6, 1.0):
@@ -189,14 +195,14 @@ class TestPressureMid:
 
     def test_above_wing_pressure_below_lo(self):
         for beta in (0.0, 0.2, 0.5, 0.7):
-            assert pressure_mid(REFERENCE, beta) > pressure_34(REFERENCE, beta)
+            assert pressure_mid(REFERENCE, beta) > wing_pressure(REFERENCE, beta)
 
     def test_continuity_at_beta_lo(self):
-        b1 = beta_lo(REFERENCE)
+        b1 = critical_set(REFERENCE).beta_lo
         left = pressure_mid(REFERENCE, b1 - 1e-8)
         right = pressure_mid(REFERENCE, b1)
         assert abs(left - right) < 1e-6
-        assert right == pressure_34(REFERENCE, b1)
+        assert right == wing_pressure(REFERENCE, b1)
 
 
 class TestSandwichAndSamples:
@@ -280,7 +286,7 @@ class TestEquilibria:
                 betas = [0.0, b2, math.nextafter(b2, 0.0), math.nextafter(b2, math.inf),
                          *np.linspace(0.4 * b2, 1.6 * b2, 25)]
                 for beta in map(float, betas):
-                    slope = composition(p, beta, pressure_34(p, beta), slope=True)[1]
+                    slope = composition(p, beta, wing_pressure(p, beta), slope=True)[1]
                     verdict = equilibrium_report(p, "at_beta_hi", beta)
                     assert (math.isfinite(slope) == (eps * beta > 2.0)
                             == verdict.return_time_derivative_finite), (variant, eps, beta)
@@ -301,7 +307,7 @@ class TestRandomizedBetaLoBounds:
             a, g, d, e = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=4))
             L = int(rng.integers(1, 21))
             p = ModelParams(float(a), float(g), float(d), float(e), L=L)
-            b1 = beta_lo(p)
+            b1 = critical_set(p).beta_lo
             eb = p.epsilon * b1
             assert 1.0 < eb < 2.0, p
             assert riemann_zeta(eb) > 5.0, p
@@ -317,21 +323,21 @@ class TestGateaux:
             gateaux_check(PARAMS_B, 2.0, [1e-4, 1e-3])  # one-sided t grid
 
     def test_symmetric_direction_differentiable(self):
-        beta = beta_hi(PARAMS_B) + 0.5
+        beta = critical_set(PARAMS_B).beta_hi + 0.5
         rep = gateaux_check(PARAMS_B, beta, [-1e-4, -1e-5, 1e-5, 1e-4])
         left, right = rep.symmetric_slopes
         assert_close(left, right, 1e-8)
         assert_close(right, beta, 1e-6)
 
     def test_asymmetric_direction_kinks(self):
-        beta = beta_hi(PARAMS_B) + 0.5
+        beta = critical_set(PARAMS_B).beta_hi + 0.5
         rep = gateaux_check(PARAMS_B, beta, [-1e-4, -1e-5, 1e-5, 1e-4])
         left, right = rep.asymmetric_slopes
         assert_close(right - left, beta, 1e-6)
         assert_close(left, 0.0, 1e-9)
 
     def test_zero_excluded(self):
-        beta = beta_hi(PARAMS_B) + 0.5
+        beta = critical_set(PARAMS_B).beta_hi + 0.5
         rep = gateaux_check(PARAMS_B, beta, [-1e-4, 0.0, 1e-4])
         assert 0.0 not in rep.t_values
 
@@ -347,7 +353,7 @@ class TestVariantB:
         # the doubled wing reaches the 1/2 threshold later in Z but earlier in
         # beta than the single wing reaches 1... the defining map is larger,
         # so the root moves up: beta_2 > beta_1 for the same numbers
-        assert beta_lo(PARAMS_B) > beta_lo(REFERENCE)
+        assert critical_set(PARAMS_B).beta_lo > critical_set(REFERENCE).beta_lo
 
     def test_entropy_match_at_zero(self):
         graph = build_graph(PARAMS_B)

@@ -5,9 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from butterflyshift.critical import pressure_34, pressure_full, pressure_mid
+from butterflyshift.critical import pressure_full, pressure_mid
 from butterflyshift import oracle
-from butterflyshift.model import ModelParams, ONE, REFERENCE, THREE, TransitionGraph, build_graph
+from butterflyshift.model import (
+    ModelParams,
+    ONE,
+    REFERENCE,
+    THREE,
+    TransitionGraph,
+    build_graph,
+    wing_pressure,
+)
 from butterflyshift.oracle import (
     abscissa_32,
     check_Ln,
@@ -114,7 +122,7 @@ class TestEnginesAgree:
     @pytest.mark.parametrize("params", [REFERENCE, PARAMS_B])
     def test_dp_matches_literal_returns_to_32(self, params):
         graph = build_graph(params)
-        beta, Z = 0.6, pressure_34(params, 0.6) + 0.35
+        beta, Z = 0.6, wing_pressure(params, 0.6) + 0.35
         N = 10
         lit = [0.0] * (N + 1)
         for rw in return_words_to_32(graph, params, beta, Z, N):
@@ -174,7 +182,7 @@ class TestArrayWalk:
         # a few ulps per step, agreeing to 4e-15 relative over 22 steps
         graph = build_graph(params, **corrupt)
         for beta in (0.25, 0.5, 0.9):
-            z32 = max(pressure_34(params, beta) + 0.3, abscissa_32(params, beta) + 0.2)
+            z32 = max(wing_pressure(params, beta) + 0.3, abscissa_32(params, beta) + 0.2)
             for target, Z, N in ((ONE, pressure_full(params, beta) + 0.2, 22),
                                  (THREE, z32, 20)):
                 walk = oracle._return_walk(graph, params, beta, Z, N, target)
@@ -188,13 +196,13 @@ class TestArrayWalk:
         # at delta = 1400 the [32] masses near 1e-305 survive, where the dict
         # walk's separate factors lost them to underflow
         p = ModelParams(1.0, 0.5, 1400.0, 1.0)
-        cmp = enumerate_returns_to_32(p, 0.25, max(pressure_34(p, 0.25) + 0.3,
+        cmp = enumerate_returns_to_32(p, 0.25, max(wing_pressure(p, 0.25) + 0.3,
                                                    abscissa_32(p, 0.25) + 0.2), 20)
         assert cmp.ok and cmp.oracle > 0.0
         assert abs(cmp.gap) <= 1e-3 * cmp.analytic
         p = ModelParams(1.0, 0.5, 1500.0, 1.0)
         for target in (ONE, THREE):
-            walk = oracle._return_walk(build_graph(p), p, 0.5, pressure_34(p, 0.5) + 0.3,
+            walk = oracle._return_walk(build_graph(p), p, 0.5, wing_pressure(p, 0.5) + 0.3,
                                        20, target)
             assert all(math.isfinite(v) and v >= 0.0 for v in walk)
 
@@ -223,7 +231,7 @@ class TestReturnExamples:
         assert word_count(REFERENCE, 2) == 3
 
     def test_shortest_32_return(self):
-        beta, Z = 0.7, pressure_34(REFERENCE, 0.7) + 0.4
+        beta, Z = 0.7, wing_pressure(REFERENCE, 0.7) + 0.4
         words = return_words_to_32(build_graph(REFERENCE), REFERENCE, beta, Z, 2)
         assert len(words) == 1
         rw = words[0]
@@ -248,7 +256,7 @@ class TestReturnExamples:
             assert_close(by_symbols[mirrored], rw.weight, 1e-14)
 
     def test_variant_b_doubles_wing_mass(self):
-        beta, Z = 0.6, pressure_34(REFERENCE, 0.6) + 0.4
+        beta, Z = 0.6, wing_pressure(REFERENCE, 0.6) + 0.4
         a = oracle._return_walk(build_graph(REFERENCE), REFERENCE, beta, Z, 6, THREE)
         b = oracle._return_walk(build_graph(PARAMS_B), PARAMS_B, beta, Z, 6, THREE)
         # tau = 2 words never leave the unprimed wing; longer words gain the
@@ -267,7 +275,7 @@ class TestOracleComparisons:
 
     def test_gap_within_certificate_returns_32(self):
         for params in (REFERENCE, PARAMS_B):
-            Z = pressure_34(params, 0.5) + 0.3
+            Z = wing_pressure(params, 0.5) + 0.3
             cmp2 = enumerate_returns_to_32(params, 0.5, Z, 20)
             assert cmp2.ok
 
@@ -301,7 +309,7 @@ class TestOracleComparisons:
 
     def test_domain_guard(self):
         with pytest.raises(ValueError):
-            enumerate_returns_to_1(REFERENCE, 0.5, pressure_34(REFERENCE, 0.5) - 0.5, 10)
+            enumerate_returns_to_1(REFERENCE, 0.5, wing_pressure(REFERENCE, 0.5) - 0.5, 10)
 
     def test_horizon_guard(self):
         Z = pressure_full(REFERENCE, 0.5) + 0.3
@@ -330,7 +338,7 @@ class TestOracleComparisons:
     @settings(max_examples=25, deadline=None)
     def test_oracle_identity_random_points_returns_32(self, beta, w):
         from butterflyshift.oracle import abscissa_32
-        Z = max(pressure_34(REFERENCE, beta), abscissa_32(REFERENCE, beta)) + w
+        Z = max(wing_pressure(REFERENCE, beta), abscissa_32(REFERENCE, beta)) + w
         c = enumerate_returns_to_32(REFERENCE, beta, Z, 12)
         assert 0.0 <= c.gap <= c.bound
 
@@ -370,7 +378,7 @@ class TestPeriodicOrbits:
         g = TransitionGraph(("3", "4"), [("3", "3"), ("3", "4"), ("4", "3"), ("4", "4")])
         for n in (4, 7, 10):
             est = periodic_orbit_pressure(REFERENCE, 1.1, n, graph=g)
-            assert_close(est, pressure_34(REFERENCE, 1.1), 1e-12, f"n={n}")
+            assert_close(est, wing_pressure(REFERENCE, 1.1), 1e-12, f"n={n}")
 
     def test_all_two_fixed_point(self):
         g = TransitionGraph(("2",), [("2", "2")])

@@ -6,17 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from butterflyshift import critical, spectral
-from butterflyshift.critical import beta_hi, critical_set, pressure_34, pressure_full, pressure_mid
+from butterflyshift.critical import critical_set, pressure_full, pressure_mid
 from butterflyshift.model import ModelParams, REFERENCE, wing_pressure
 from butterflyshift.roots import OFFSET_FLOOR, bisect_log_offset, newton_log_offset
 from butterflyshift.spectral import (
     _wings,
     composition,
     composition_boundary,
-    composition_value_at_floor,
     lambda_1,
 )
-from butterflyshift.series import sigma2, sigma3
+from butterflyshift.series import sigma3, tail_sum
 
 PARAMS_B = ModelParams(1.0, 0.5, 1.0, 1.0, 1, "B")
 REFERENCE_GRID = [round(0.01 * k, 12) for k in range(121)]
@@ -48,14 +47,14 @@ def bisected_pressure_full(params, beta):
 
 
 def bisected_composition_boundary(params, beta):
-    if composition_value_at_floor(params, beta) <= 1.0 + 1e-11:
+    if composition(params, beta, wing_pressure(params, beta))[0] <= 1.0 + 1e-11:
         return None
     z0 = wing_pressure(params, beta)
 
     m = 2 if params.variant == "B" else 1
 
     def f(w):
-        s2, s3 = sigma2(params, beta, z0 + w), sigma3(params, beta, z0 + w)
+        s2, s3 = tail_sum(beta, z0 + w), sigma3(params, beta, z0 + w)
         if s2.divergent or s3.divergent:
             return math.inf
         return m * s2.value * s3.value - 1.0
@@ -142,7 +141,7 @@ class TestNewtonLogOffset:
                         1.0035326687476418, 1, "A")
         beta = 0.932906843559
         P = pressure_full(p, beta)
-        assert P - pressure_34(p, beta) < 1e-14
+        assert P - wing_pressure(p, beta) < 1e-14
         above = spectral.lambda_1(p, beta, P * (1.0 - 1e-10))
         below = spectral.lambda_1(p, beta, P * (1.0 + 1e-10))
         assert not above.defined or above.value > 1.0
@@ -153,9 +152,9 @@ class TestDerivatives:
     @pytest.mark.parametrize("params", [REFERENCE, PARAMS_B], ids=["A", "B"])
     def test_slopes_match_dsigma_and_differences(self, params):
         for beta, w in ((0.3, 0.2), (0.8, 0.05), (1.5, 0.4)):
-            z = pressure_34(params, beta) + w
+            z = wing_pressure(params, beta) + w
             value, slope = composition(params, beta, z, slope=True)
-            s2, s3 = sigma2(params, beta, z), sigma3(params, beta, z)
+            s2, s3 = tail_sum(beta, z), sigma3(params, beta, z)
             _, _, d2, d3 = _wings(params, beta, z, slope=True)
             m = 2 if params.variant == "B" else 1
             assert value == m * s2.value * s3.value
@@ -177,7 +176,7 @@ class TestDerivatives:
         # 0.021 on either side of its seam with direct summation at W = 0.02;
         # the steps keep Z +- h inside one regime
         beta = 1.5
-        z = pressure_34(params, beta) + w
+        z = wing_pressure(params, beta) + w
         h = 1e-6
 
         def central(f):
@@ -223,7 +222,7 @@ class TestAgreesWithBisection:
     def test_criterion_7_sets(self):
         # every eighth point of each set's grid, and the grid's last point
         for params in _criterion_7_sets():
-            grid = np.arange(0.0, beta_hi(params) - 0.05 + 1e-12, 0.01)
+            grid = np.arange(0.0, critical_set(params).beta_hi - 0.05 + 1e-12, 0.01)
             for beta in [float(b) for b in grid[::8]] + [float(grid[-1])]:
                 assert abs(pressure_full(params, beta)
                            - bisected_pressure_full(params, beta)) <= 1e-13, (params, beta)
@@ -284,6 +283,6 @@ def test_pressures_ordered_on_log_uniform_sets(alpha, gamma, delta, epsilon, L, 
     assert crit.bracket_lo[0] <= crit.beta_lo <= crit.bracket_lo[1]
     assert crit.bracket_hi[0] <= crit.beta_hi <= crit.bracket_hi[1]
     beta = frac * crit.beta_hi
-    p_full, p_mid, p34 = pressure_full(params, beta), pressure_mid(params, beta), pressure_34(params, beta)
+    p_full, p_mid, p34 = pressure_full(params, beta), pressure_mid(params, beta), wing_pressure(params, beta)
     assert not any(math.isnan(p) for p in (p_full, p_mid, p34))
     assert p_full >= p_mid >= p34

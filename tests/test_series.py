@@ -6,19 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from butterflyshift import series
-from butterflyshift.critical import equilibrium_report, pressure_full, ztilde_c
+from butterflyshift.critical import equilibrium_report, pressure_full
 from butterflyshift.model import ModelParams, REFERENCE, wing_pressure
 from butterflyshift.series import (
     DEFAULT_TOL,
     riemann_zeta,
     sigma1,
-    sigma2,
     sigma3,
     single_block_correction,
     tail_sum,
     tail_sum_pair,
 )
-from butterflyshift.spectral import _wings, lambda_1
+from butterflyshift.spectral import _wings, composition_boundary, lambda_1
 
 from conftest import assert_close
 
@@ -96,22 +95,22 @@ class TestSigma1:
 
 class TestSigma2:
     def test_geometric_at_beta_zero(self):
-        ev = sigma2(REFERENCE, 0.0, math.log(2.0))
+        ev = tail_sum(0.0, math.log(2.0))
         assert_close(ev.value, 1.0, 1e-12)
 
     def test_zeta_path_at_Z_zero(self):
         beta = 1.7
-        ev = sigma2(REFERENCE, beta, 0.0)
+        ev = tail_sum(beta, 0.0)
         assert not ev.divergent
         assert_close(ev.value, riemann_zeta(beta) - 1.0, 1e-11)
 
     def test_divergence(self):
-        assert sigma2(REFERENCE, 2.0, -0.1).divergent
-        assert sigma2(REFERENCE, 1.0, 0.0).divergent
-        assert sigma2(REFERENCE, 0.5, 0.0).divergent
-        assert not sigma2(REFERENCE, 1.0 + 1e-9, 0.0).divergent
+        assert tail_sum(2.0, -0.1).divergent
+        assert tail_sum(1.0, 0.0).divergent
+        assert tail_sum(0.5, 0.0).divergent
+        assert not tail_sum(1.0 + 1e-9, 0.0).divergent
 
-    # sigma2 is tail_sum(beta, Z): its value against a 2^22-term sum
+    # Sigma2 is tail_sum(beta, Z): its value against a 2^22-term sum
     def test_refinement_stability(self):
         assert_within_certificate(1.5, 0.1)
 
@@ -186,7 +185,7 @@ class TestSigma2Monotonicity:
     @given(beta=st.floats(0.0, 4.0), z=st.floats(0.01, 3.0))
     @settings(max_examples=40, deadline=None)
     def test_decreasing_in_Z(self, beta, z):
-        assert sigma2(REFERENCE, beta, z + 0.1).value < sigma2(REFERENCE, beta, z).value
+        assert tail_sum(beta, z + 0.1).value < tail_sum(beta, z).value
 
 
 class TestDsigma:
@@ -214,7 +213,7 @@ class TestDsigma:
         h = 1e-5
         for beta, Z in [(0.3, 0.8), (0.7, 0.9), (1.4, 0.75), (2.2, 1.3)]:
             d2 = _wings(p, beta, Z, slope=True)[2]
-            fd = (sigma2(p, beta, Z + h).value - sigma2(p, beta, Z - h).value) / (2 * h)
+            fd = (tail_sum(beta, Z + h).value - tail_sum(beta, Z - h).value) / (2 * h)
             assert_close(d2, fd, 1e-6, f"beta={beta} Z={Z}")
 
     def test_s3_divergence_boundary(self):
@@ -261,8 +260,9 @@ class TestZeta:
         assert_close(riemann_zeta(2.0), math.pi ** 2 / 6.0, 1e-12)
 
     def test_memo_spans_solves(self, monkeypatch):
-        # pressure_full and ztilde_c at one beta expand the same zeta(s - k):
-        # with the memo the second solve needs no new Euler-Maclaurin zeta
+        # pressure_full and composition_boundary at one beta expand the same
+        # zeta(s - k): with the memo the second solve needs no new
+        # Euler-Maclaurin zeta
         series._zeta_any.cache_clear()
         calls = []
         zeta_em = series._zeta_em
@@ -271,7 +271,7 @@ class TestZeta:
         pressure_full(REFERENCE, 1.0)
         assert calls
         calls.clear()
-        ztilde_c(REFERENCE, 1.0)
+        composition_boundary(REFERENCE, 1.0)
         assert calls == []
 
     def test_large_s(self):

@@ -2,15 +2,16 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from butterflyshift.critical import beta_lo, pressure_34, ztilde_c
-from butterflyshift.model import ModelParams, REFERENCE
-from butterflyshift.series import sigma2, sigma3
+from butterflyshift.critical import critical_set
+from butterflyshift.model import ModelParams, REFERENCE, wing_pressure
+from butterflyshift.series import sigma3, tail_sum
 from butterflyshift.spectral import (
     GEOMETRIC_ONE_FAMILY,
     PRESSURE_FLOOR,
     WING_COMPOSITION,
     abscissa,
-    composition_value_at_floor,
+    composition,
+    composition_boundary,
     lambda_1,
     lambda_32,
 )
@@ -53,24 +54,23 @@ class TestLambda1:
                 assert not (v.sigma1.divergent or v.sigma2.divergent or v.sigma3.divergent)
 
     def test_one_at_transition(self):
-        from butterflyshift.critical import beta_hi
-        b_c = beta_hi(REFERENCE)
-        v = lambda_1(REFERENCE, b_c, pressure_34(REFERENCE, b_c))
+        b_c = critical_set(REFERENCE).beta_hi
+        v = lambda_1(REFERENCE, b_c, wing_pressure(REFERENCE, b_c))
         assert v.defined
         assert_close(v.value, 1.0, 1e-9)
 
 
 class TestLambda32:
     def test_variant_a_is_product(self):
-        beta, z = 0.5, pressure_34(REFERENCE, 0.5) + 0.4
+        beta, z = 0.5, wing_pressure(REFERENCE, 0.5) + 0.4
         v = lambda_32(REFERENCE, beta, z)
-        expect = sigma2(REFERENCE, beta, z).value * sigma3(REFERENCE, beta, z).value
+        expect = tail_sum(beta, z).value * sigma3(REFERENCE, beta, z).value
         assert v.defined
         assert_close(v.value, expect, 1e-14)
 
     def test_equals_one_at_ztilde(self):
         beta = 0.5
-        zt = ztilde_c(REFERENCE, beta)
+        zt = composition_boundary(REFERENCE, beta)
         assert zt is not None
         v = lambda_32(REFERENCE, beta, zt)
         assert_close(v.value, 1.0, 1e-9)
@@ -83,15 +83,15 @@ class TestLambda32:
     @settings(max_examples=30, deadline=None)
     def test_variant_b_identity(self, beta, w):
         # variant B's lambda_32 < 1 exactly when Sigma2*Sigma3 < 1/2
-        z = pressure_34(PARAMS_B, beta) + w
+        z = wing_pressure(PARAMS_B, beta) + w
         v = lambda_32(PARAMS_B, beta, z)
         if not v.defined:
             return
-        prod = sigma2(PARAMS_B, beta, z).value * sigma3(PARAMS_B, beta, z).value
+        prod = tail_sum(beta, z).value * sigma3(PARAMS_B, beta, z).value
         assert (v.value < 1.0) == (prod < 0.5)
 
     def test_decreasing_in_Z(self):
-        zs = [pressure_34(REFERENCE, 0.5) + w for w in (0.1, 0.3, 0.7, 1.5)]
+        zs = [wing_pressure(REFERENCE, 0.5) + w for w in (0.1, 0.3, 0.7, 1.5)]
         vals = [lambda_32(REFERENCE, 0.5, z).value for z in zs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
@@ -104,19 +104,19 @@ class TestAbscissa:
             assert rep.binding != GEOMETRIC_ONE_FAMILY
 
     def test_wing_composition_below_transition(self):
-        b1 = beta_lo(REFERENCE)
+        b1 = critical_set(REFERENCE).beta_lo
         rep = abscissa(REFERENCE, 0.5)
         assert 0.5 < b1
         assert rep.binding == WING_COMPOSITION
-        assert rep.Z_c > pressure_34(REFERENCE, 0.5)
+        assert rep.Z_c > wing_pressure(REFERENCE, 0.5)
         assert not rep.converges_at_Zc
 
     def test_pressure_floor_above_transition(self):
-        b1 = beta_lo(REFERENCE)
+        b1 = critical_set(REFERENCE).beta_lo
         beta = b1 + 0.5
         rep = abscissa(REFERENCE, beta)
         assert rep.binding == PRESSURE_FLOOR
-        assert_close(rep.Z_c, pressure_34(REFERENCE, beta), 1e-14)
+        assert_close(rep.Z_c, wing_pressure(REFERENCE, beta), 1e-14)
         assert rep.converges_at_Zc
 
     def test_geometric_binding_for_large_L(self):
@@ -129,7 +129,7 @@ class TestAbscissa:
 
     def test_composition_value_matches_sigmas(self):
         beta = 1.5
-        z0 = pressure_34(REFERENCE, beta)
-        v = composition_value_at_floor(REFERENCE, beta)
-        expect = sigma2(REFERENCE, beta, z0).value * sigma3(REFERENCE, beta, z0).value
+        z0 = wing_pressure(REFERENCE, beta)
+        v = composition(REFERENCE, beta, wing_pressure(REFERENCE, beta))[0]
+        expect = tail_sum(beta, z0).value * sigma3(REFERENCE, beta, z0).value
         assert_close(v, expect, 1e-13)
