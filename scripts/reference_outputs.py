@@ -26,6 +26,11 @@ B = ["--variant", "B"]
 KNOWN_FAULT = ["--alpha", "3", "--gamma", "0.2", "--delta", "0.5", "--epsilon", "3.5",
                "--L", "2"]
 NEAR_BETA_C = ["--beta-start", "1.99", "--beta-stop", "2", "--beta-step", "0.005"]
+# the known-fault set with eps from the two ends of a bisection of eps over
+# [1, 3.5] (the reference and the known-fault eps) for beta_hi = 0.6:
+# beta_hi = 0.6 + 2.2e-10 and 0.6 - 8.8e-11, one on each side of the
+# oracle table's probe-beta switch
+NEAR_SWITCH = ["--alpha", "3", "--gamma", "0.2", "--delta", "0.5", "--L", "2"]
 
 # name -> argv without --config; --out paths are relative to the invocation's
 # directory, so no absolute path reaches the recorded output
@@ -50,6 +55,8 @@ INVOCATIONS = {
     "oracle_corrupt_edge": ["oracle", "--corrupt-edge", "4:2"],
     "oracle_delta1500": ["oracle", "--delta", "1500"],
     "oracle_known_fault": ["oracle", *KNOWN_FAULT],
+    "oracle_beta_hi_above_0.6": ["oracle", *NEAR_SWITCH, "--epsilon", "1.77902036"],
+    "oracle_beta_hi_below_0.6": ["oracle", *NEAR_SWITCH, "--epsilon", "1.779020361"],
     # lambda_32 near 1e-305: the rows where the gap slack is relative
     "oracle_delta1400": ["oracle", "--delta", "1400"],
     "oracle_delta200": ["oracle", "--delta", "200"],

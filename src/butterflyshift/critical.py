@@ -11,9 +11,11 @@ monotone maps:
 Both roots can sit exponentially close to their lower bracket (the zeta pole
 at eps*beta = 1, respectively beta_lo), hence the log-offset bisection.
 
-Below beta_hi the full pressure is the Z where lambda_[1] = 1, a decreasing
-convex sum of e^(-nZ); it is solved by safeguarded Newton steps in the same
-log-offset bracket, with the Z-derivative evaluated alongside the value.
+The full pressure is the Z where lambda_[1] = 1, a decreasing convex sum of
+e^(-nZ); it is solved by safeguarded Newton steps in the same log-offset
+bracket, with the Z-derivative evaluated alongside the value.  From beta_hi on
+lambda_[1] <= 1 already at the floor P34, which the solver then returns, so
+only results that read beta_lo or beta_hi solve them.
 """
 
 from __future__ import annotations
@@ -125,16 +127,12 @@ def critical_set(params: ModelParams) -> CriticalSet:
 
 
 def pressure_full(params: ModelParams, beta: float) -> float:
-    """Pressure of the full system.
-
-    Below beta_hi: the unique Z with lambda_[1] = 1, found by safeguarded
-    Newton steps on the decreasing map and its Z-derivative (divergent
-    evaluations count as above 1, and are bisected past).  At and above
-    beta_hi the pressure sticks to the wing pressure P34.
+    """Pressure of the full system: the Z with lambda_[1] = 1 above
+    z0 = max(P34, log L - alpha*beta), by safeguarded Newton steps on the
+    decreasing map and its Z-derivative (divergent evaluations count as above
+    1, and are bisected past).  From beta_hi on lambda_[1] <= 1 at z0 = P34,
+    and the solver's floor rule returns P34 after one evaluation.
     """
-    crit = critical_set(params)
-    if beta >= crit.beta_hi:
-        return wing_pressure(params, beta)
     z0 = max(wing_pressure(params, beta), math.log(params.L) - params.alpha * beta)
 
     def F(z: float) -> tuple[float, float]:
@@ -169,7 +167,8 @@ def pressure_sample(params: ModelParams, beta: float) -> PressureSample:
         beta=beta,
         p34=p34,
         p_mid=zt if zt is not None else p34,
-        p_full=pressure_full(params, beta),
+        # from beta_hi on P = P34: the solve would only confirm the floor
+        p_full=p34 if regime == ABOVE_HI else pressure_full(params, beta),
         ztilde=zt,
         regime=regime,
     )
@@ -180,7 +179,7 @@ def equilibrium_report(params: ModelParams, which: str,
     """Equilibrium count and cylinder-weight verdict at a transition.
 
     which is "at_beta_lo" or "at_beta_hi"; beta_star, finite and >= 0,
-    overrides the transition point.
+    overrides the transition point, which is then not solved.
 
     The decisive quantity is eps*beta at the transition: the Z-derivative of
     the wing series converges there iff eps*beta > 2, which is exactly the
@@ -191,9 +190,10 @@ def equilibrium_report(params: ModelParams, which: str,
         raise ValueError(f"which must be 'at_beta_lo' or 'at_beta_hi', got {which!r}")
     if beta_star is not None and not 0.0 <= beta_star < math.inf:
         raise ValueError(f"beta_star must be finite and >= 0, got {beta_star!r}")
-    crit = critical_set(params)
-    b = beta_star if beta_star is not None else (
-        crit.beta_lo if which == "at_beta_lo" else crit.beta_hi)
+    b = beta_star
+    if b is None:
+        crit = critical_set(params)
+        b = crit.beta_lo if which == "at_beta_lo" else crit.beta_hi
     eps_beta = params.epsilon * b
     # at the floor Z = P34 the wing slope series is T(eps*beta - 1, 0), which
     # converges iff eps*beta - 1 > 1, i.e. eps*beta > 2

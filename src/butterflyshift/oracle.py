@@ -409,12 +409,15 @@ def verification_table(params: ModelParams, graph: TransitionGraph, n_return: in
     The wing-word counts at beta = 1 (rows "L_n n=..."); the return masses to
     [1] and [32] on `graph` at beta = 0.25 and 0.5, or at beta_hi / 2 alone
     when beta_hi <= 0.6; the beta = 0 entropies; and the Richardson
-    periodic-orbit estimate at the last of those betas.
+    periodic-orbit estimate at the last of those betas.  beta_hi is solved
+    only in the second case: it is the root of the decreasing map
+    beta -> lambda_[1](beta, P34), +inf below beta_lo, so 0.6 < beta_hi
+    exactly when that map exceeds 1 at 0.6.
     """
     rows = [_check(f"L_n n={n}", closed, enum, LN_RTOL * abs(closed))
             for n, enum, closed in check_Ln(params, 1.0, n_ln)]
-    crit = critical.critical_set(params)
-    betas = [0.25, 0.5] if crit.beta_hi > 0.6 else [0.5 * crit.beta_hi]
+    above = _lambda_1(params, 0.6, wing_pressure(params, 0.6)).value > 1.0
+    betas = [0.25, 0.5] if above else [0.5 * critical.critical_set(params).beta_hi]
     pressures = {b: critical.pressure_full(params, b) for b in betas}
     for b in betas:
         rows.append(enumerate_returns_to_1(params, b, pressures[b] + 0.2, n_return, graph=graph))

@@ -3,9 +3,41 @@ import random
 
 import pytest
 
+from butterflyshift import critical, roots
 from butterflyshift.model import ModelParams, ONE, REFERENCE, TWO, build_graph
 
 from reference_engines import ALL_TWOS, INTO_ONE, INTO_THREE_TWO, STAY_IN_WING, Word
+
+
+# beta_hi within 1e-9 of 0.6, where the oracle table switches its probe
+# betas: the known-fault set (alpha 3, gamma 0.2, delta 0.5, L 2) with eps at
+# the two ends of a bisection of eps over [1, 3.5] (the reference and the
+# known-fault eps) for beta_hi = 0.6, rounded to 10 digits.  beta_hi is
+# 0.6 + 2.2e-10 above and 0.6 - 8.8e-11 below.
+NEAR_SWITCH_ABOVE = ModelParams(3.0, 0.2, 0.5, 1.77902036, 2)
+NEAR_SWITCH_BELOW = ModelParams(3.0, 0.2, 0.5, 1.779020361, 2)
+
+
+@pytest.fixture
+def transition_solves(monkeypatch):
+    """Calls of critical.critical_set and of roots.bisect_log_offset from here
+    on, by name; the critical-set cache starts empty, so that every set
+    solved shows its bisections."""
+    counts = {"critical_set": 0, "bisect_log_offset": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    critical.critical_set.cache_clear()
+    monkeypatch.setattr(critical, "critical_set",
+                        counted("critical_set", critical.critical_set))
+    bisect = counted("bisect_log_offset", roots.bisect_log_offset)
+    monkeypatch.setattr(roots, "bisect_log_offset", bisect)
+    monkeypatch.setattr(critical, "bisect_log_offset", bisect)
+    return counts
 
 
 @pytest.fixture

@@ -17,7 +17,7 @@ from butterflyshift.oracle import incidence_entropy, no_one_family
 from butterflyshift.series import riemann_zeta, sigma3, tail_sum
 from butterflyshift.spectral import abscissa, composition, composition_boundary, lambda_1
 
-from conftest import assert_close
+from conftest import NEAR_SWITCH_ABOVE, NEAR_SWITCH_BELOW, assert_close
 
 PARAMS_B = ModelParams(1.0, 0.5, 1.0, 1.0, 1, "B")
 # well-separated transitions: the one-family subshift is large enough that the
@@ -184,6 +184,59 @@ class TestPressureFull:
             P = pressure_full(WIDE, beta)
             lam = lambda_1(WIDE, beta, P)
             assert lam.defined and abs(lam.value - 1.0) < 1e-9
+
+
+def log_uniform_sets(seed, n):
+    """n seeded draws, each in variant A and B: alpha, gamma and delta
+    log-uniform on [1e-2, 1e2], eps log-uniform on [0.2, 20], L in 1..399."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for _ in range(n):
+        a, g, d = np.exp(rng.uniform(math.log(1e-2), math.log(1e2), size=3))
+        e = math.exp(rng.uniform(math.log(0.2), math.log(20.0)))
+        L = int(rng.integers(1, 400))
+        sets += [ModelParams(float(a), float(g), float(d), e, L, v) for v in "AB"]
+    return sets
+
+
+TRANSITION_SCAN = log_uniform_sets(17, 20) + [NEAR_SWITCH_ABOVE, NEAR_SWITCH_BELOW]
+
+
+class TestNoUnreadTransition:
+    """Results that do not read beta_lo or beta_hi solve neither."""
+
+    def test_pressure_full_solves_none(self, transition_solves):
+        for params in (REFERENCE, PARAMS_B, WIDE):
+            for beta in (0.0, 0.5, 1.0, 1.5, 3.0):
+                pressure_full(params, beta)
+        assert transition_solves == {"critical_set": 0, "bisect_log_offset": 0}
+
+    def test_equilibrium_report_solves_only_without_beta_star(self, transition_solves):
+        for params in (REFERENCE, PARAMS_B):
+            for which in ("at_beta_lo", "at_beta_hi"):
+                equilibrium_report(params, which, beta_star=2.5)
+        assert transition_solves == {"critical_set": 0, "bisect_log_offset": 0}
+        # without beta_star the report reads a transition: one set, two roots
+        equilibrium_report(REFERENCE, "at_beta_hi")
+        assert transition_solves == {"critical_set": 1, "bisect_log_offset": 2}
+
+    def test_lambda_1_at_0_6_tells_beta_hi_above_0_6(self):
+        # the oracle table's probe-beta switch
+        assert 0.0 < critical_set(NEAR_SWITCH_ABOVE).beta_hi - 0.6 < 1e-9
+        assert 0.0 < 0.6 - critical_set(NEAR_SWITCH_BELOW).beta_hi < 1e-9
+        for p in TRANSITION_SCAN:
+            above = lambda_1(p, 0.6, wing_pressure(p, 0.6)).value > 1.0
+            assert above == (critical_set(p).beta_hi > 0.6), p
+
+    def test_pressure_full_is_p34_from_beta_hi_on(self):
+        for p in TRANSITION_SCAN:
+            b_hi = critical_set(p).beta_hi
+            for beta in (b_hi * (1.0 + 1e-9), 1.2 * b_hi):
+                assert pressure_full(p, beta) == wing_pressure(p, beta), (p, beta)
+            # where lambda_[1](beta_hi, P34) still reads a hair above 1 (the
+            # bisection's residual_hi > 0), its root lies an ulp or so above P34
+            p34 = wing_pressure(p, b_hi)
+            assert 0.0 <= pressure_full(p, b_hi) - p34 <= 1e-15 * p34, p
 
 
 class TestPressureMid:

@@ -29,7 +29,7 @@ from butterflyshift.oracle import (
     verification_table,
 )
 
-from conftest import assert_close
+from conftest import NEAR_SWITCH_ABOVE, NEAR_SWITCH_BELOW, assert_close
 from reference_engines import (
     compressed_gap_returns_to_1,
     compressed_partial_returns_to_1,
@@ -504,14 +504,31 @@ class TestVerificationTable:
         assert all(r.ok for r in rows if r.name.startswith("returns_to_32"))
         assert probes == [0.25, 0.5]
 
-    def test_low_beta_hi_probes_half_of_it(self):
-        # beta_hi <= 0.6: one probe beta at beta_hi / 2, the periodic row there too
+    def test_low_beta_hi_probes_half_of_it(self, transition_solves):
+        # beta_hi <= 0.6: one probe beta at beta_hi / 2, the periodic row there
+        # too, and beta_hi is solved once
         p = ModelParams(3.0, 0.2, 0.5, 3.5, 2)
         rows = verification_table(p, build_graph(p), 16, 8, 12)
+        assert transition_solves == {"critical_set": 1, "bisect_log_offset": 2}
         names = [r.name for r in rows if not r.name.startswith("L_n")]
         assert len(rows) - len(names) == 11
         assert names[0].startswith("returns_to_1 beta=") and len(names) == 5
         assert names[0].split("=")[1] == names[-1].split("=")[1]
+
+    @pytest.mark.parametrize("params", [REFERENCE, PARAMS_B, ModelParams(1.0, 0.5, 1.0, 1.0, 299)],
+                             ids=["A", "B", "L=299"])
+    def test_table_solves_no_transition(self, params, transition_solves):
+        # beta_hi > 0.6 here: one lambda_1 evaluation at 0.6 tells so
+        verification_table(params, build_graph(params), 16, 8, 12)
+        assert transition_solves == {"critical_set": 0, "bisect_log_offset": 0}
+
+    @pytest.mark.parametrize("params, probes", [(NEAR_SWITCH_ABOVE, ["0.25", "0.5"]),
+                                                (NEAR_SWITCH_BELOW, ["0.3"])],
+                             ids=["above", "below"])
+    def test_probe_betas_beside_beta_hi_0_6(self, params, probes):
+        rows = verification_table(params, build_graph(params), 16, 8, 12)
+        assert [r.name.split("=")[1] for r in rows
+                if r.name.startswith("returns_to_1")] == probes
 
     @pytest.mark.parametrize("params", [REFERENCE, PARAMS_B], ids=["A", "B"])
     def test_return_rows_are_the_enumerations(self, params, monkeypatch):
