@@ -31,6 +31,10 @@ NEAR_BETA_C = ["--beta-start", "1.99", "--beta-stop", "2", "--beta-step", "0.005
 # beta_hi = 0.6 + 2.2e-10 and 0.6 - 8.8e-11, one on each side of the
 # oracle table's probe-beta switch
 NEAR_SWITCH = ["--alpha", "3", "--gamma", "0.2", "--delta", "0.5", "--L", "2"]
+# a log-uniform draw where P(beta) lies within an ulp of the composition
+# boundary from beta ~ 1.55 up to its beta_lo ~ 1.8154
+NEAR_BOUNDARY = ["--alpha", "213.16", "--gamma", "0.02266", "--delta", "0.005589",
+                 "--epsilon", "0.6001", "--L", "321", *B]
 
 # name -> argv without --config; --out paths are relative to the invocation's
 # directory, so no absolute path reaches the recorded output
@@ -73,6 +77,12 @@ INVOCATIONS = {
     "curves_L170_below_beta_c": ["curves", "--L", "170", *NEAR_BETA_C],
     "curves_L170_eps1.5_below_beta_c": ["curves", "--L", "170", "--epsilon", "1.5",
                                         *NEAR_BETA_C],
+    # just below beta_lo, where P sits just above the composition boundary
+    "curves_below_beta_lo": ["curves", "--beta-start", "1.00645", "--beta-stop", "1.0065173",
+                             "--beta-step", "0.0000025", "--out", "curves.csv"],
+    "curves_near_boundary_below_beta_lo": ["curves", *NEAR_BOUNDARY, "--beta-start", "1.5",
+                                           "--beta-stop", "1.815", "--beta-step", "0.005",
+                                           "--out", "curves.csv"],
 }
 
 

@@ -13,9 +13,12 @@ at eps*beta = 1, respectively beta_lo), hence the log-offset bisection.
 
 The full pressure is the Z where lambda_[1] = 1, a decreasing convex sum of
 e^(-nZ); it is solved by safeguarded Newton steps in the same log-offset
-bracket, with the Z-derivative evaluated alongside the value.  From beta_hi on
-lambda_[1] <= 1 already at the floor P34, which the solver then returns, so
-only results that read beta_lo or beta_hi solve them.
+bracket, with the Z-derivative evaluated alongside the value.  Each solve
+starts at the convergence abscissa Z_c = max(P34, log L - alpha*beta, Z~_c),
+below which lambda_[1] is +inf, so no step is spent there.  From beta_hi on
+lambda_[1] <= 1 already at the floor Z_c = P34, which the solver then returns,
+so only results that read beta_lo or beta_hi solve them.  The composition
+boundary Z~_c is its own Newton solve, from P34 up.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from functools import lru_cache
 from .model import ModelParams, wing_pressure
 from .roots import bisect_log_offset, newton_log_offset
 from .series import riemann_zeta
-from .spectral import composition, composition_boundary, lambda_1
+from .spectral import abscissa, composition, composition_boundary, lambda_1
 
 BELOW_LO = "below_lo"
 BETWEEN = "between"
@@ -126,20 +129,25 @@ def critical_set(params: ModelParams) -> CriticalSet:
     )
 
 
-def pressure_full(params: ModelParams, beta: float) -> float:
-    """Pressure of the full system: the Z with lambda_[1] = 1 above
-    z0 = max(P34, log L - alpha*beta), by safeguarded Newton steps on the
-    decreasing map and its Z-derivative (divergent evaluations count as above
-    1, and are bisected past).  From beta_hi on lambda_[1] <= 1 at z0 = P34,
-    and the solver's floor rule returns P34 after one evaluation.
+def pressure_full(params: ModelParams, beta: float, z_c: float | None = None) -> float:
+    """Pressure of the full system: the Z with lambda_[1] = 1 above the
+    convergence abscissa Z_c = max(P34, log L - alpha*beta, Z~_c), by
+    safeguarded Newton steps on the decreasing map and its Z-derivative
+    (divergent evaluations count as above 1, and are bisected past).
+
+    `z_c` is `abscissa(params, beta).Z_c` when the caller already has it;
+    without it the composition boundary Z~_c is solved here once.  Both give
+    the same root.  From beta_hi on lambda_[1] <= 1 at Z_c = P34, and the
+    solver's floor rule returns P34 after one evaluation.
     """
-    z0 = max(wing_pressure(params, beta), math.log(params.L) - params.alpha * beta)
+    if z_c is None:
+        z_c = abscissa(params, beta).Z_c
 
     def F(z: float) -> tuple[float, float]:
         lam = lambda_1(params, beta, z, slope=True)
         return lam.value, lam.slope
 
-    return z0 + newton_log_offset(F, z0).offset
+    return z_c + newton_log_offset(F, z_c).offset
 
 
 def pressure_mid(params: ModelParams, beta: float) -> float:
@@ -163,12 +171,15 @@ def pressure_sample(params: ModelParams, beta: float) -> PressureSample:
         regime = BETWEEN
     else:
         regime = ABOVE_HI
+    p_mid = zt if zt is not None else p34
     return PressureSample(
         beta=beta,
         p34=p34,
-        p_mid=zt if zt is not None else p34,
-        # from beta_hi on P = P34: the solve would only confirm the floor
-        p_full=p34 if regime == ABOVE_HI else pressure_full(params, beta),
+        p_mid=p_mid,
+        # from beta_hi on P = P34: the solve would only confirm the floor;
+        # below it the solve starts at Z_c = max(P_mid, log L - alpha*beta)
+        p_full=p34 if regime == ABOVE_HI else pressure_full(
+            params, beta, z_c=max(p_mid, math.log(params.L) - params.alpha * beta)),
         ztilde=zt,
         regime=regime,
     )

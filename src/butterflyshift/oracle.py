@@ -224,10 +224,15 @@ def _compare_returns(params: ModelParams, beta: float, Z: float, N: int,
 
 
 def enumerate_returns_to_1(params: ModelParams, beta: float, Z: float, N: int,
-                           graph: TransitionGraph | None = None) -> Check:
+                           graph: TransitionGraph | None = None,
+                           z_floor: float | None = None) -> Check:
     """First-return enumeration to [1] (dp engine, N <= 30) vs. lambda_1 at a
-    (beta, Z) strictly inside its convergence domain."""
-    return _compare_returns(params, beta, Z, N, graph, ONE)
+    (beta, Z) strictly inside its convergence domain.
+
+    `z_floor` is `abscissa(params, beta).Z_c` when the caller already has it
+    (it holds a composition-boundary solve); it is solved for when omitted.
+    """
+    return _compare_returns(params, beta, Z, N, graph, ONE, z_floor)
 
 
 def enumerate_returns_to_32(params: ModelParams, beta: float, Z: float, N: int,
@@ -418,16 +423,22 @@ def verification_table(params: ModelParams, graph: TransitionGraph, n_return: in
             for n, enum, closed in check_Ln(params, 1.0, n_ln)]
     above = _lambda_1(params, 0.6, wing_pressure(params, 0.6)).value > 1.0
     betas = [0.25, 0.5] if above else [0.5 * critical.critical_set(params).beta_hi]
-    pressures = {b: critical.pressure_full(params, b) for b in betas}
+    pressures = {}
     for b in betas:
-        rows.append(enumerate_returns_to_1(params, b, pressures[b] + 0.2, n_return, graph=graph))
+        z_c = abscissa(params, b).Z_c
+        pressures[b] = critical.pressure_full(params, b, z_c=z_c)
+        rows.append(enumerate_returns_to_1(params, b, pressures[b] + 0.2, n_return,
+                                           graph=graph, z_floor=z_c))
         floor32 = abscissa_32(params, b)
         Z32 = max(wing_pressure(params, b) + 0.3, floor32 + 0.2)
         rows.append(enumerate_returns_to_32(params, b, Z32, min(n_return, RETURN_32_HORIZON),
                                             graph=graph, z_floor=floor32))
-    rows.append(_check("entropy vs P(0)", critical.pressure_full(params, 0.0),
+    p_mid0 = critical.pressure_mid(params, 0.0)
+    # Z_c(0) = max(P34(0), log L, Z~_c(0)) = max(P_mid(0), log L)
+    rows.append(_check("entropy vs P(0)",
+                       critical.pressure_full(params, 0.0, z_c=max(p_mid0, math.log(params.L))),
                        incidence_entropy(graph), ENTROPY_TOL))
-    rows.append(_check("entropy vs P_mid(0)", critical.pressure_mid(params, 0.0),
+    rows.append(_check("entropy vs P_mid(0)", p_mid0,
                        incidence_entropy(graph, restrict_to=no_one_family(graph)),
                        ENTROPY_TOL))
     b = betas[-1]

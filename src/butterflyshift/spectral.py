@@ -155,20 +155,37 @@ def composition(params: ModelParams, beta: float, Z: float,
     return m * s2.value * s3.value, m * (d2 * s3.value + s2.value * d3)
 
 
+def _floor_and_boundary(params: ModelParams,
+                        beta: float) -> tuple[float, float, float | None]:
+    """(P34, m*Sigma2*Sigma3 at P34, the composition boundary or None).
+
+    The floor evaluation carries its slope, so it doubles as the Newton
+    solve's first evaluation (P34 + 1e-300 == P34) and no point is evaluated
+    twice.
+    """
+    z0 = wing_pressure(params, beta)
+    at_floor = composition(params, beta, z0, slope=True)
+    if at_floor[0] <= 1.0 + 1e-11:
+        return z0, at_floor[0], None
+
+    def F(z: float) -> tuple[float, float]:
+        return at_floor if z == z0 else composition(params, beta, z, slope=True)
+
+    return z0, at_floor[0], z0 + newton_log_offset(F, z0).offset
+
+
 def composition_boundary(params: ModelParams, beta: float) -> float | None:
     """The Z above P34(beta) where m*Sigma2*Sigma3 crosses 1, if it does.
 
     The map is strictly decreasing in Z, +inf-or-large at the floor for small
     beta and below 1 there once beta passes the small transition; in the
     second case None is returned.  The root is solved by safeguarded Newton
-    steps on the map and its Z-derivative.  A root closer to the floor than the solver
-    can resolve (floor value within 1e-11 of 1) also counts as absent.
+    steps on the map and its Z-derivative, starting at the floor P34, whose
+    evaluation (with its slope) is the floor check itself.  A root closer to
+    the floor than the solver can resolve (floor value within 1e-11 of 1)
+    also counts as absent.
     """
-    z0 = wing_pressure(params, beta)
-    if composition(params, beta, z0)[0] <= 1.0 + 1e-11:
-        return None
-    return z0 + newton_log_offset(
-        lambda z: composition(params, beta, z, slope=True), z0).offset
+    return _floor_and_boundary(params, beta)[2]
 
 
 def abscissa(params: ModelParams, beta: float) -> AbscissaReport:
@@ -177,16 +194,17 @@ def abscissa(params: ModelParams, beta: float) -> AbscissaReport:
     Z_c = max(log L - alpha*beta, composition boundary, P34(beta)); the report
     names which of the three binds and whether the operator still converges at
     Z_c itself (it does only on the pressure floor past the small transition).
+    The floor value of m*Sigma2*Sigma3 comes from the composition-boundary
+    solve, which evaluates it first.
     """
     geo = math.log(params.L) - params.alpha * beta
-    floor = wing_pressure(params, beta)
-    wing = composition_boundary(params, beta)
+    floor, at_floor, wing = _floor_and_boundary(params, beta)
     candidates = [(geo, GEOMETRIC_ONE_FAMILY), (floor, PRESSURE_FLOOR)]
     if wing is not None:
         candidates.append((wing, WING_COMPOSITION))
     z_c, binding = max(candidates, key=lambda c: c[0])
     if binding == PRESSURE_FLOOR:
-        converges = composition(params, beta, floor)[0] < 1.0 and geo < floor
+        converges = at_floor < 1.0 and geo < floor
     else:
         # Sigma1 diverges at its own boundary; Sigma2*Sigma3 hits 1 at the
         # composition boundary: either way the operator diverges at Z_c.

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from butterflyshift import critical, roots
+from butterflyshift import critical, roots, spectral
 from butterflyshift.model import ModelParams, ONE, REFERENCE, TWO, build_graph
 
 from reference_engines import ALL_TWOS, INTO_ONE, INTO_THREE_TWO, STAY_IN_WING, Word
@@ -38,6 +38,33 @@ def transition_solves(monkeypatch):
     monkeypatch.setattr(roots, "bisect_log_offset", bisect)
     monkeypatch.setattr(critical, "bisect_log_offset", bisect)
     return counts
+
+
+@pytest.fixture
+def composition_points(monkeypatch):
+    """The Z of every spectral.composition call from here on, in call order."""
+    points = []
+    real = spectral.composition
+
+    def counted(params, beta, Z, slope=False):
+        points.append(Z)
+        return real(params, beta, Z, slope)
+
+    monkeypatch.setattr(spectral, "composition", counted)
+    return points
+
+
+@pytest.fixture
+def newton_solves(monkeypatch):
+    """The floor of every Newton solve from here on, by module: "spectral"
+    solves composition boundaries and "critical" pressures."""
+    floors = {"spectral": [], "critical": []}
+    for name, module in (("spectral", spectral), ("critical", critical)):
+        def counted(F, floor, seen=floors[name]):
+            seen.append(floor)
+            return roots.newton_log_offset(F, floor)
+        monkeypatch.setattr(module, "newton_log_offset", counted)
+    return floors
 
 
 @pytest.fixture

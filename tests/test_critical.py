@@ -265,6 +265,17 @@ class TestSandwichAndSamples:
             assert s.p_full >= s.p_mid - 1e-10
             assert s.p_mid >= s.p34 - 1e-10
 
+    def test_sample_solves_each_root_once(self, newton_solves):
+        # the sample's own Z~_c is the pressure solve's floor Z_c
+        for params in (REFERENCE, PARAMS_B):
+            for beta in (0.5, 0.9):
+                s = pressure_sample(params, beta)
+                assert newton_solves == {"spectral": [wing_pressure(params, beta)],
+                                         "critical": [s.ztilde]}
+                assert s.p_full == pressure_full(params, beta)
+                newton_solves["spectral"].clear()
+                newton_solves["critical"].clear()
+
     def test_regimes(self):
         crit = critical_set(WIDE)
         assert pressure_sample(WIDE, 0.5).regime == "below_lo"

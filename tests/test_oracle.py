@@ -504,6 +504,18 @@ class TestVerificationTable:
         assert all(r.ok for r in rows if r.name.startswith("returns_to_32"))
         assert probes == [0.25, 0.5]
 
+    @pytest.mark.parametrize("params, boundaries", [(REFERENCE, 3), (PARAMS_B, 5)],
+                             ids=["A", "B"])
+    def test_each_boundary_solved_once(self, params, boundaries, newton_solves):
+        # one composition-boundary solve per probe beta gives Z_c to both its
+        # pressure and its [1] row, and the P_mid(0) row's gives Z_c(0);
+        # variant B adds one per [32] floor
+        verification_table(params, build_graph(params), 16, 8, 12)
+        assert len(newton_solves["spectral"]) == boundaries
+        assert newton_solves["critical"][-1] == max(pressure_mid(params, 0.0),
+                                                    math.log(params.L))
+        assert len(newton_solves["critical"]) == 3
+
     def test_low_beta_hi_probes_half_of_it(self, transition_solves):
         # beta_hi <= 0.6: one probe beta at beta_hi / 2, the periodic row there
         # too, and beta_hi is solved once

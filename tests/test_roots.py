@@ -19,6 +19,17 @@ from butterflyshift.series import sigma3, tail_sum
 
 PARAMS_B = ModelParams(1.0, 0.5, 1.0, 1.0, 1, "B")
 REFERENCE_GRID = [round(0.01 * k, 12) for k in range(121)]
+# a log-uniform draw where P lies within an ulp of the composition boundary
+# from beta ~ 1.55 up to beta_lo ~ 1.8154; solved from P34 the pressure took
+# up to 61 evaluations here
+NEAR_BOUNDARY = ModelParams(213.16, 0.02266, 0.005589, 0.6001, 321, "B")
+NEAR_BOUNDARY_GRID = [round(0.01 * k, 12) for k in range(182)]
+
+
+def below_beta_lo(params):
+    """30 betas approaching beta_lo from below, at offsets 1e-2 down to 1e-9."""
+    b_lo = critical_set(params).beta_lo
+    return [b_lo - 10.0 ** -x for x in np.linspace(2.0, 9.0, 30)]
 
 
 def _criterion_7_sets():
@@ -44,6 +55,27 @@ def bisected_pressure_full(params, beta):
         return (lam.value if lam.defined else math.inf) - 1.0
 
     return z0 + bisect_log_offset(f).offset
+
+
+def pressure_full_from_p34(params, beta):
+    """The Newton solve from max(P34, log L - alpha*beta), below Z~_c."""
+    z0 = max(wing_pressure(params, beta), math.log(params.L) - params.alpha * beta)
+
+    def F(z):
+        lam = lambda_1(params, beta, z, slope=True)
+        return lam.value, lam.slope
+
+    return z0 + newton_log_offset(F, z0).offset
+
+
+def assert_pressure_agrees(params, beta):
+    """pressure_full within 1e-13 of the bisection and 2 ulp of the solve
+    from P34, and never below the composition boundary."""
+    p = pressure_full(params, beta)
+    assert abs(p - bisected_pressure_full(params, beta)) <= 1e-13, (params, beta)
+    assert abs(p - pressure_full_from_p34(params, beta)) <= 2 * math.ulp(p), (params, beta)
+    zt = composition_boundary(params, beta)
+    assert zt is None or p >= zt, (params, beta)
 
 
 def bisected_composition_boundary(params, beta):
@@ -203,7 +235,8 @@ class TestDerivatives:
         monkeypatch.setattr(spectral, "newton_log_offset", spy)
         pressure_full(REFERENCE, 0.5)
         composition_boundary(REFERENCE, 0.5)
-        assert len(seen) == 2
+        # without z_c, pressure_full solves the composition boundary first
+        assert len(seen) == 3
         assert all(value == math.inf for value, _ in seen)
 
 
@@ -213,11 +246,26 @@ class TestAgreesWithBisection:
     @pytest.mark.parametrize("params", [REFERENCE, PARAMS_B], ids=["A", "B"])
     def test_reference_grid(self, params):
         for beta in REFERENCE_GRID:
-            assert abs(pressure_full(params, beta) - bisected_pressure_full(params, beta)) <= 1e-13
+            assert_pressure_agrees(params, beta)
             zt, zt_ref = composition_boundary(params, beta), bisected_composition_boundary(params, beta)
             assert (zt is None) == (zt_ref is None), beta
             if zt is not None:
                 assert abs(zt - zt_ref) <= 1e-13, beta
+
+    @pytest.mark.parametrize("params", [REFERENCE, PARAMS_B, NEAR_BOUNDARY],
+                             ids=["A", "B", "near_boundary"])
+    def test_approaching_beta_lo(self, params):
+        # P nears Z~_c from above as beta nears beta_lo, where both meet P34
+        for beta in below_beta_lo(params):
+            assert_pressure_agrees(params, beta)
+
+    def test_near_boundary_grid(self):
+        # every fourth point, and every point from 1.5 on, where P is Z~_c to
+        # the ulp: there the solver's floor rule answers at Z_c = Z~_c
+        near = [b for b in NEAR_BOUNDARY_GRID if 1.5 <= b]
+        for beta in NEAR_BOUNDARY_GRID[::4] + near:
+            assert_pressure_agrees(NEAR_BOUNDARY, beta)
+        assert pressure_full(NEAR_BOUNDARY, 1.55) == composition_boundary(NEAR_BOUNDARY, 1.55)
 
     def test_criterion_7_sets(self):
         # every eighth point of each set's grid, and the grid's last point
@@ -259,8 +307,17 @@ class TestEvaluationCount:
         for beta in REFERENCE_GRID:
             pressure_full(params, beta)
             pressure_mid(params, beta)
-        assert counts and max(counts) <= 24
-        assert sum(counts) <= 12 * len(counts)
+        # measured: at most 10 and a mean of 7.5 (A) and 7.7 (B) per solve
+        assert counts and max(counts) <= 12
+        assert sum(counts) <= 9 * len(counts)
+
+    def test_near_boundary_ceiling(self, counts):
+        # solved from P34 instead of Z_c, the pressure took up to 61 here
+        for beta in NEAR_BOUNDARY_GRID + below_beta_lo(NEAR_BOUNDARY):
+            pressure_full(NEAR_BOUNDARY, beta)
+            pressure_mid(NEAR_BOUNDARY, beta)
+        assert counts and max(counts) <= 13
+        assert sum(counts) <= 9 * len(counts)
 
 
 _log_uniform = st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)
@@ -286,3 +343,5 @@ def test_pressures_ordered_on_log_uniform_sets(alpha, gamma, delta, epsilon, L, 
     p_full, p_mid, p34 = pressure_full(params, beta), pressure_mid(params, beta), wing_pressure(params, beta)
     assert not any(math.isnan(p) for p in (p_full, p_mid, p34))
     assert p_full >= p_mid >= p34
+    ztilde = composition_boundary(params, beta)
+    assert ztilde is None or p_full >= ztilde

@@ -1,4 +1,6 @@
 import math
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -126,6 +128,22 @@ class TestAbscissa:
         assert rep.binding == GEOMETRIC_ONE_FAMILY
         assert_close(rep.Z_c, math.log(50.0) - 1.2, 1e-12)
         assert not rep.converges_at_Zc
+
+    def test_floor_evaluated_once_on_the_floor(self, composition_points):
+        # past beta_lo the composition-boundary check's floor value is the
+        # one the convergence verdict reads
+        beta = critical_set(REFERENCE).beta_lo + 0.5
+        assert abscissa(REFERENCE, beta).binding == PRESSURE_FLOOR
+        assert composition_points == [wing_pressure(REFERENCE, beta)]
+
+    @pytest.mark.parametrize("params", [REFERENCE, PARAMS_B], ids=["A", "B"])
+    def test_boundary_solve_evaluates_no_point_twice(self, params, composition_points):
+        # the floor check is the Newton solve's first evaluation
+        for beta in (0.1, 0.5, 0.9):
+            composition_points.clear()
+            assert abscissa(params, beta).binding == WING_COMPOSITION
+            assert composition_points[0] == wing_pressure(params, beta)
+            assert len(set(composition_points)) == len(composition_points) > 1
 
     def test_composition_value_matches_sigmas(self):
         beta = 1.5
