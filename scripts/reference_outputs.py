@@ -57,6 +57,9 @@ INVOCATIONS = {
     "oracle_L4": ["oracle", "--L", "4"],
     "oracle_L299": ["oracle", "--L", "299"],
     "oracle_corrupt_edge": ["oracle", "--corrupt-edge", "4:2"],
+    "oracle_B_corrupt_edge": ["oracle", *B, "--corrupt-edge", "4:2"],
+    # every horizon at its cap: the return walks at N = 30
+    "oracle_max_horizons": ["oracle", "--n-return", "30", "--n-period", "14", "--n-ln", "20"],
     "oracle_delta1500": ["oracle", "--delta", "1500"],
     "oracle_known_fault": ["oracle", *KNOWN_FAULT],
     "oracle_beta_hi_above_0.6": ["oracle", *NEAR_SWITCH, "--epsilon", "1.77902036"],

@@ -4,9 +4,9 @@ points, horizons and tolerances; the command only prints its records.
 
 Return-word enumeration runs on one engine, "dp": a walk over the transition
 graph with weight-equivalent paths aggregated by (symbol kind, current run
-length), held in arrays indexed by run length.  It is exact, takes one array
-operation per allowed edge and step, and is driven edge-by-edge by the graph,
-so a corrupted edge set changes its output; the acceptance suite and the
+length).  Its transfer matrix on those states is filled edge-by-edge from
+the graph, so a corrupted edge set changes its output, and each step is one
+matrix-vector product; it is exact, and the acceptance suite and the
 `oracle` command run it.  The test suite keeps the rawer reference
 engines it is checked against (literal word enumeration, run-length
 convolution, depth-first periodic-point enumeration).
@@ -89,14 +89,18 @@ def _return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
                  Z: float, N: int, target: str) -> list[float]:
     """Per-tau first-return mass to [1] (target ONE) or [32] (target THREE).
 
-    The walk keeps one array indexed by run length for the 2-runs and one
-    for the runs on each wing symbol; the stored mass carries the weight the
-    paths would have if their current run closed right here, so each edge
-    multiplies by an exact incremental potential factor, one slice operation
-    per allowed edge and step.  The 2-runs and the wing runs step alike for
-    both targets.  A wing step factor is a single exponential,
+    The walk's states are (row, run length): one row for the 2-runs and one
+    for the runs on each wing symbol of the alphabet, run lengths 1..N, plus
+    one state for the auxiliary symbols.  The stored mass carries the weight
+    the paths would have if their current run closed right here, so each
+    edge multiplies by an exact incremental potential factor.  Those factors
+    fill one transfer matrix T, built once per walk from the graph's edges;
+    each step is then mass <- T mass, and out[tau] is one dot product of the
+    mass with a read-out vector.  The 2-runs and the wing runs step alike
+    for both targets.  A wing step factor is a single exponential,
     e^(gamma*beta-Z) onto a 3 and e^((gamma+delta)*beta-Z) onto a 4, which
-    stays in range where e^((gamma+delta)*beta) alone would overflow.
+    stays in range where e^((gamma+delta)*beta) alone would overflow.  A run
+    at step tau is at most tau - 1 long, so no mass outgrows the N lengths.
 
     [1]: the walk leaves 1 and returns on a step from an auxiliary or a 2
     into 1; the auxiliary symbols share one state, stepped through the first
@@ -116,11 +120,23 @@ def _return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
     step3 = math.exp(params.gamma * beta - Z)
     step4 = math.exp((params.gamma + params.delta) * beta - Z)
     into_wing = step3 * 2.0 ** (-eb)
-    n = np.arange(1.0, N + 1.0)           # the run length stepped from
-    two_grows = ((n + 2.0) / (n + 1.0)) ** (-beta)
-    wing_grows = ((n + 1.0) / (n + 2.0)) ** eb
-    row = {TWO: 0, THREE: 1, FOUR: 2, THREE_P: 3, FOUR_P: 4}
-    mass = np.zeros((len(row), N + 2))    # mass[row, run length]
+    into_two = 2.0 ** (-beta) * eZ
+    n = np.arange(1.0, N)                 # the run length stepped from, 1..N-1
+    syms = [TWO] + [w for w in (THREE, FOUR, THREE_P, FOUR_P) if w in graph.alphabet]
+    row = {s: i for i, s in enumerate(syms)}
+    aux_state = len(syms) * N             # a run of s of length m is row[s] * N + m - 1
+    T = np.zeros((aux_state + 1, aux_state + 1))
+    mass = np.zeros(aux_state + 1)
+    read = np.zeros(aux_state + 1)        # out[tau] = read . mass
+
+    def runs(s: str) -> slice:
+        return slice(row[s] * N, (row[s] + 1) * N)
+
+    def grow(s: str, t: str, factor: np.ndarray) -> None:
+        # a run of s of length m steps onto t at length m + 1
+        i = np.arange(N - 1)
+        T[row[t] * N + i + 1, row[s] * N + i] += factor
+
     out = [0.0] * (N + 1)
     if target == ONE:
         start = w_one * eZ
@@ -128,51 +144,43 @@ def _return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
             out[1] += start
         n_aux = sum(1 for s in graph.successors(ONE) if is_aux(s))
         aux = next((s for s in graph.alphabet if is_aux(s)), None)
-        aux_to_one = aux is not None and graph.allowed(aux, ONE)
-        n_a = 0 if aux is None else sum(1 for s in graph.successors(aux) if is_aux(s))
-        two_to_one = graph.allowed(TWO, ONE)
-        aux_mass = start * n_aux * w_one * eZ
+        if aux is not None:
+            n_a = sum(1 for s in graph.successors(aux) if is_aux(s))
+            T[aux_state, aux_state] = n_a * w_one * eZ
+            read[aux_state] = graph.allowed(aux, ONE)
+        mass[aux_state] = start * n_aux * w_one * eZ
         if graph.allowed(ONE, TWO):
-            mass[0, 1] = start * 2.0 ** (-beta) * eZ
+            mass[0] = start * into_two
+        read[runs(TWO)] = graph.allowed(TWO, ONE)
     elif graph.allowed(THREE, TWO):  # no auxiliary state is ever entered
-        mass[0, 1] = into_wing * 2.0 ** (-beta) * eZ
+        mass[0] = into_wing * into_two
     blocked = THREE if target == THREE else None
-    two_to_two = graph.allowed(TWO, TWO)
-    two_to_wings = [row[w] for w in (THREE, THREE_P) if graph.allowed(TWO, w)]
-    moves = []                            # (from row, to row, factor per run length)
-    exits = []                            # rows whose runs may close into a 2
-    for sym in (w for w in (THREE, FOUR, THREE_P, FOUR_P) if w in graph.alphabet):
+    if graph.allowed(TWO, TWO):
+        grow(TWO, TWO, ((n + 2.0) / (n + 1.0)) ** (-beta) * eZ)
+    for w in (THREE, THREE_P):
+        if graph.allowed(TWO, w):
+            T[row[w] * N, runs(TWO)] = into_wing
+    wing_grows = ((n + 1.0) / (n + 2.0)) ** eb
+    for sym in syms[1:]:
         lo, hi = (THREE, FOUR) if sym in (THREE, FOUR) else (THREE_P, FOUR_P)
         for tgt in graph.successors(sym):
             if tgt == lo:
-                moves.append((row[sym], row[lo], step3 * wing_grows))
+                grow(sym, lo, step3 * wing_grows)
             elif tgt == hi:
-                moves.append((row[sym], row[hi], step4 * wing_grows))
+                grow(sym, hi, step4 * wing_grows)
             elif tgt == TWO and sym != blocked:
-                exits.append(row[sym])
+                T[0, runs(sym)] += into_two
     if target == THREE:
-        finalize = (2.0 * (n + 1.0) / (n + 2.0)) ** eb
-        onto_three = [src for src, dst, _ in moves if dst == row[THREE]]
-        two_onto_three = row[THREE] in two_to_wings
+        # a step onto an unprimed 3 finalizes, from a run of length 1..N
+        finalize = (2.0 * np.arange(2.0, N + 2.0) / np.arange(3.0, N + 3.0)) ** eb
+        for sym in (THREE, FOUR):
+            if graph.allowed(sym, THREE):
+                read[runs(sym)] += finalize
+        if graph.allowed(TWO, THREE):
+            read[runs(TWO)] += 1.0
     for tau in range(2, N + 1):
-        nxt = np.zeros_like(mass)
-        two = mass[0]
-        two_total = float(two.sum())
-        if target == ONE:
-            out[tau] = (aux_mass if aux_to_one else 0.0) + (two_total if two_to_one else 0.0)
-            aux_mass = aux_mass * n_a * w_one * eZ
-        else:
-            out[tau] = (two_total if two_onto_three else 0.0) + sum(
-                float((mass[src, 1:-1] * finalize).sum()) for src in onto_three)
-        if two_to_two:
-            nxt[0, 2:] = two[1:-1] * two_grows * eZ
-        for r in two_to_wings:
-            nxt[r, 1] = two_total * into_wing
-        for src, dst, fac in moves:
-            nxt[dst, 2:] += mass[src, 1:-1] * fac
-        for src in exits:
-            nxt[0, 1] += float(mass[src].sum()) * 2.0 ** (-beta) * eZ
-        mass = nxt
+        out[tau] = float(read @ mass)
+        mass = T @ mass
     return out
 
 

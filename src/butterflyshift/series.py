@@ -4,10 +4,15 @@ Everything here reduces to sums of the shape
 
     T(s, W) = sum_{n>=1} (n+1)^(-s) e^(-n W),
 
-evaluated with an explicit bound on the discarded tail.  Three regimes:
+evaluated with an explicit bound on the discarded tail.  Four regimes:
 
   * W = 0: the sum is zeta(s) - 1 (divergent for s <= 1), taken from the
     internal Euler-Maclaurin zeta; the bound grows with |zeta(s)|;
+  * s = 0, W > 0: the sum is geometric, T(0, W) = g = 1/(e^W - 1), and so is
+    the pair's T(-1, W) = g (g + 2) (Li_0 and Li_-1 are rational; L. Lewin,
+    "Polylogarithms and Associated Functions", 1981); the bound covers
+    rounding alone.  Every sum at beta = 0, where the pressure is the
+    topological entropy, lands here;
   * W >= 0.02: direct chunked summation; geometric and integral tail bounds,
     which bound the truncated tail alone;
   * 0 < W < 0.02: the expansion of the polylogarithm Li_s(e^-W) around W = 0
@@ -39,6 +44,7 @@ DEFAULT_TOL = 1e-13
 TERM_CAP = 10_000_000
 
 _EPS = 2.0 ** -52
+_TINY = 2.0 ** -1074  # one subnormal step
 
 _ASYMPTOTIC_W = 0.02
 _EM_N = 64
@@ -183,6 +189,22 @@ def _polylog(s: float, W: float) -> SeriesEval:
     return SeriesEval(value, err * e_w + _EPS * (1.0 + 2.0 * abs(value)), 0, False)
 
 
+def _geometric(W: float, paired: bool) -> tuple[SeriesEval, ...]:
+    """T(0, W) = g, and T(-1, W) = g (g + 2) when `paired`, g = 1/expm1(W).
+
+    Both stay exact to rounding for every W > 0: at W = 1e-12 the form
+    q (2 - q) / (1 - q)^2 in q = e^-W would lose every digit.  Past W = 700,
+    g = e^-W to within a relative e^-W (and expm1 would overflow); e^-W goes
+    subnormal from W = 708, so the bound adds a subnormal step.
+    """
+    g = math.exp(-W) if W > 700.0 else 1.0 / math.expm1(W)
+    out = (SeriesEval(g, 4.0 * _EPS * g + 2.0 * _TINY, 0, False),)
+    if paired:
+        v = g * (g + 2.0)
+        out += (SeriesEval(v, 8.0 * _EPS * v + 2.0 * _TINY, 0, False),)
+    return out
+
+
 def _direct_tail(s: float, W: float, N: int) -> float:
     """Bound on sum_{n>N} (n+1)^(-s) e^(-nW) for W > 0."""
     q = math.exp(-W)
@@ -225,12 +247,15 @@ def _direct(s: float, W: float, paired: bool) -> tuple[SeriesEval, ...]:
 
 def _sums(s: float, W: float, paired: bool) -> tuple[SeriesEval, ...]:
     """T(s, W), and T(s-1, W) when `paired`: the one place that picks the
-    regime (divergent, zeta at W = 0, polylog below the seam, direct above)."""
+    regime (divergent, zeta at W = 0, geometric at s = 0, polylog below the
+    seam, direct above)."""
     exponents = (s, s - 1.0) if paired else (s,)
     if W < 0.0 or not math.isfinite(W):
         return (_DIVERGENT,) * len(exponents)
     if W == 0.0:
         return tuple(_at_zero(e) for e in exponents)
+    if s == 0.0:
+        return _geometric(W, paired)
     if W < _ASYMPTOTIC_W:
         return tuple(_polylog(e, W) for e in exponents)
     return _direct(s, W, paired)

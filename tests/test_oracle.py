@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from butterflyshift.critical import pressure_full, pressure_mid
-from butterflyshift import oracle
+from butterflyshift import oracle, series
 from butterflyshift.model import (
     ModelParams,
     ONE,
@@ -17,6 +17,7 @@ from butterflyshift.model import (
     wing_pressure,
 )
 from butterflyshift.oracle import (
+    RAW_HORIZON_CAP,
     abscissa_32,
     check_Ln,
     enumerate_returns_to_1,
@@ -164,6 +165,7 @@ WALK_GRAPHS = (
     [(f"{v}-L{L}", ModelParams(1.0, 0.5, 1.0, 1.0, L, v), {}) for v in "AB" for L in (1, 7, 300)]
     + [("extra 4:2", REFERENCE, {"extra_edges": [("4", "2")]}),
        ("extra 4:1", REFERENCE, {"extra_edges": [("4", "1")]}),
+       ("extra 3:1+1:4", REFERENCE, {"extra_edges": [("3", "1"), ("1", "4")]}),
        ("extra 1_2:2", ModelParams(1.0, 0.5, 1.0, 1.0, L=3), {"extra_edges": [("1_2", "2")]}),
        ("drop 3:3", REFERENCE, {"drop_edges": [("3", "3")]}),
        ("drop 2:2", REFERENCE, {"drop_edges": [("2", "2")]}),
@@ -172,24 +174,27 @@ WALK_GRAPHS = (
 
 
 class TestArrayWalk:
-    """The array walk against the dict-keyed walk it replaced, at the table's
-    probe points and horizons."""
+    """The transfer-matrix walk against the dict-keyed walk, at the table's
+    probe points and horizons, at beta = 0 and at the horizon cap."""
 
     @pytest.mark.parametrize("params,corrupt", [g[1:] for g in WALK_GRAPHS],
                              ids=[g[0] for g in WALK_GRAPHS])
     def test_matches_dict_walk(self, params, corrupt):
         # same factors but the wing steps, which are one exponential each:
-        # a few ulps per step, agreeing to 4e-15 relative over 22 steps
+        # a few ulps per step, agreeing to 4e-15 relative over 22 steps and
+        # in proportion over more
         graph = build_graph(params, **corrupt)
-        for beta in (0.25, 0.5, 0.9):
+        for beta in (0.0, 0.25, 0.5, 0.9):
             z32 = max(wing_pressure(params, beta) + 0.3, abscissa_32(params, beta) + 0.2)
             for target, Z, N in ((ONE, pressure_full(params, beta) + 0.2, 22),
                                  (THREE, z32, 20)):
-                walk = oracle._return_walk(graph, params, beta, Z, N, target)
-                ref = dict_return_walk(graph, params, beta, Z, N, target)
-                assert len(walk) == len(ref) == N + 1
-                for tau, (a, b) in enumerate(zip(walk, ref)):
-                    assert abs(a - b) <= 4e-15 * abs(b), (beta, target, tau, a, b)
+                for N in (N, RAW_HORIZON_CAP):
+                    walk = oracle._return_walk(graph, params, beta, Z, N, target)
+                    ref = dict_return_walk(graph, params, beta, Z, N, target)
+                    assert len(walk) == len(ref) == N + 1
+                    rtol = 4e-15 * max(1.0, N / 22)
+                    for tau, (a, b) in enumerate(zip(walk, ref)):
+                        assert abs(a - b) <= rtol * abs(b), (beta, target, N, tau, a, b)
 
     def test_large_delta_stays_in_range(self):
         # e^((gamma+delta)*beta) alone overflows once (gamma+delta)*beta > 709;
@@ -533,6 +538,20 @@ class TestVerificationTable:
         # beta_hi > 0.6 here: one lambda_1 evaluation at 0.6 tells so
         verification_table(params, build_graph(params), 16, 8, 12)
         assert transition_solves == {"critical_set": 0, "bisect_log_offset": 0}
+
+    @pytest.mark.parametrize("params, most", [(REFERENCE, 85), (PARAMS_B, 114)],
+                             ids=["A", "B"])
+    def test_beta_zero_makes_no_direct_pass(self, params, most, monkeypatch):
+        # every sum at beta = 0 is geometric (s = 0), so the P(0) and P_mid(0)
+        # solves make no direct pass.  Summed directly, those two solves took
+        # 31 of the table's 116 passes in A and 29 of 143 in B
+        exponents = []
+        real = series._direct
+        monkeypatch.setattr(series, "_direct", lambda s, W, paired:
+                            exponents.append(s) or real(s, W, paired))
+        verification_table(params, build_graph(params), 22, 12, 20)
+        assert 0.0 not in exponents
+        assert len(exponents) <= most
 
     @pytest.mark.parametrize("params, probes", [(NEAR_SWITCH_ABOVE, ["0.25", "0.5"]),
                                                 (NEAR_SWITCH_BELOW, ["0.3"])],

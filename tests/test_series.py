@@ -309,30 +309,38 @@ class TestZeta:
             <= 3.0 * w * abs(math.log(w)) + 1e-8
 
 
-# (s, W) over the three regimes, both sides of the W = 0.02 seam, negative s
-# and s next to the integers (1 - 1.8e-10 puts the pair's s - 1 next to 0)
+# (s, W) over the zeta, polylog and direct regimes, both sides of the
+# W = 0.02 seam, negative s and s next to the integers (1 - 1.8e-10 puts the
+# pair's s - 1 next to 0); s = 0, the geometric regime, has its own test
 BOUND_S = (-0.9, -0.3, 1e-10, 0.3, 1.0 - 1.8e-10, 1.0 + 1e-10, 1.5, 2.0 - 1e-10,
            2.0 + 3e-9, 2.5, 3.0 + 1e-10, 3.7)
 BOUND_W = (0.0, 1e-8, 1e-4, 0.0199, 0.0201, 0.5)
 
 
-def _regime(W):
-    return "zeta" if W == 0.0 else ("polylog" if W < 0.02 else "direct")
+def _regime(s, W):
+    """The regime `tail_sum(s, W)` and `tail_sum_pair(s, W)` answer from."""
+    if W == 0.0:
+        return "zeta"
+    if s == 0.0:
+        return "geometric"
+    return "polylog" if W < 0.02 else "direct"
 
 
 class TestTailSumPair:
     def test_matches_two_tail_sums(self):
         # within the two bounds; direct summation also rounds its terms
-        # differently ((n+1) a_n against (n+1)^(1-s) e^(-nW))
-        for s in BOUND_S:
+        # differently ((n+1) a_n against (n+1)^(1-s) e^(-nW)).  At s = 0 the
+        # pair's closed-form T(-1, W) meets the summed tail_sum(-1, W)
+        for s in (0.0,) + BOUND_S:
             for W in BOUND_W:
                 pair = tail_sum_pair(s, W)
-                for got, ref in zip(pair, (tail_sum(s, W), tail_sum(s - 1.0, W))):
+                for got, ref, x in zip(pair, (tail_sum(s, W), tail_sum(s - 1.0, W)),
+                                       (s, s - 1.0)):
                     assert got.divergent == ref.divergent, (s, W)
                     if ref.divergent:
                         continue
                     allow = got.tail_bound + ref.tail_bound
-                    if _regime(W) == "direct":
+                    if "direct" in (_regime(s, W), _regime(x, W)):
                         allow += 8 * EPS * abs(ref.value)
                     assert abs(got.value - ref.value) <= allow, (s, W)
 
@@ -372,6 +380,28 @@ def test_tail_bounds_hold_against_mpmath(s):
                       (second, mp.mpf(s) - 1)):
             if ev.divergent:
                 continue
-            allow = ev.tail_bound + (8 * EPS * abs(ev.value) if _regime(W) == "direct" else 0.0)
+            regime = _regime(s, W)
+            allow = ev.tail_bound + (8 * EPS * abs(ev.value) if regime == "direct" else 0.0)
             err = abs(mp.mpf(ev.value) - truth(x, W))
-            assert err <= allow, f"s={x} W={W} ({_regime(W)}): error {float(err):.3e} > {allow:.3e}"
+            assert err <= allow, f"s={x} W={W} ({regime}): error {float(err):.3e} > {allow:.3e}"
+
+
+@pytest.mark.parametrize("W", (1e-12, 1e-8, 1e-4, 0.0199, 0.0201, 0.5, math.log(2.0),
+                               40.0, 700.0))
+def test_geometric_sums_within_rounding_bound(W, monkeypatch):
+    # at s = 0 both sums are closed forms in g = 1/(e^W - 1): no pass, no
+    # expansion, and |value - truth| <= tail_bound, a bound on rounding alone.
+    # The truth is taken at 40 digits, where q (2 - q) / (1 - q)^2 loses at
+    # most 12 of them (at W = 1e-12)
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    for name in ("_direct", "_polylog"):
+        monkeypatch.setattr(series, name, lambda *a, name=name: pytest.fail(f"{name}{a}"))
+    q = mp.exp(-mp.mpf(W))
+    truth = (q / (1 - q), q * (2 - q) / (1 - q) ** 2)  # T(0, W), T(-1, W)
+    first, second = tail_sum_pair(0.0, W)
+    assert _regime(0.0, W) == "geometric"
+    for ev, x in ((tail_sum(0.0, W), truth[0]), (first, truth[0]), (second, truth[1])):
+        assert not ev.divergent and ev.terms_used == 0
+        err = abs(mp.mpf(ev.value) - x)
+        assert err <= ev.tail_bound, f"W={W}: error {float(err):.3e} > {ev.tail_bound:.3e}"
