@@ -121,7 +121,8 @@ def _return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
     step4 = math.exp((params.gamma + params.delta) * beta - Z)
     into_wing = step3 * 2.0 ** (-eb)
     into_two = 2.0 ** (-beta) * eZ
-    n = np.arange(1.0, N)                 # the run length stepped from, 1..N-1
+    m = np.arange(1.0, N + 1.0)           # the run lengths 1..N
+    n = m[:-1]                            # the run length a growing run steps from
     syms = [TWO] + [w for w in (THREE, FOUR, THREE_P, FOUR_P) if w in graph.alphabet]
     row = {s: i for i, s in enumerate(syms)}
     aux_state = len(syms) * N             # a run of s of length m is row[s] * N + m - 1
@@ -171,8 +172,8 @@ def _return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
             elif tgt == TWO and sym != blocked:
                 T[0, runs(sym)] += into_two
     if target == THREE:
-        # a step onto an unprimed 3 finalizes, from a run of length 1..N
-        finalize = (2.0 * np.arange(2.0, N + 2.0) / np.arange(3.0, N + 3.0)) ** eb
+        # a step onto an unprimed 3 finalizes, from a wing run of length m
+        finalize = (2.0 * (m + 1.0) / (m + 2.0)) ** eb
         for sym in (THREE, FOUR):
             if graph.allowed(sym, THREE):
                 read[runs(sym)] += finalize

@@ -192,8 +192,9 @@ def _polylog(s: float, W: float) -> SeriesEval:
 def _geometric(W: float, paired: bool) -> tuple[SeriesEval, ...]:
     """T(0, W) = g, and T(-1, W) = g (g + 2) when `paired`, g = 1/expm1(W).
 
-    Both stay exact to rounding for every W > 0: at W = 1e-12 the form
-    q (2 - q) / (1 - q)^2 in q = e^-W would lose every digit.  Past W = 700,
+    Both stay exact to rounding for every W > 0, where the form
+    q (2 - q) / (1 - q)^2 in q = e^-W cancels in 1 - q: it keeps only 4
+    digits at W = 1e-12 and divides by zero below W = 1e-16.  Past W = 700,
     g = e^-W to within a relative e^-W (and expm1 would overflow); e^-W goes
     subnormal from W = 708, so the bound adds a subnormal step.
     """

@@ -387,10 +387,11 @@ def test_tail_bounds_hold_against_mpmath(s):
 
 
 @pytest.mark.parametrize("W", (1e-12, 1e-8, 1e-4, 0.0199, 0.0201, 0.5, math.log(2.0),
-                               40.0, 700.0))
+                               40.0, 700.0, 720.0))
 def test_geometric_sums_within_rounding_bound(W, monkeypatch):
     # at s = 0 both sums are closed forms in g = 1/(e^W - 1): no pass, no
     # expansion, and |value - truth| <= tail_bound, a bound on rounding alone.
+    # At W = 720 expm1 would overflow and g = e^-W is subnormal.
     # The truth is taken at 40 digits, where q (2 - q) / (1 - q)^2 loses at
     # most 12 of them (at W = 1e-12)
     mp = pytest.importorskip("mpmath")
