@@ -186,9 +186,9 @@ class TestArrayWalk:
         graph = build_graph(params, **corrupt)
         for beta in (0.0, 0.25, 0.5, 0.9):
             z32 = max(wing_pressure(params, beta) + 0.3, abscissa_32(params, beta) + 0.2)
-            for target, Z, N in ((ONE, pressure_full(params, beta) + 0.2, 22),
-                                 (THREE, z32, 20)):
-                for N in (N, RAW_HORIZON_CAP):
+            for target, Z, horizon in ((ONE, pressure_full(params, beta) + 0.2, 22),
+                                       (THREE, z32, 20)):
+                for N in (horizon, RAW_HORIZON_CAP):
                     walk = oracle._return_walk(graph, params, beta, Z, N, target)
                     ref = dict_return_walk(graph, params, beta, Z, N, target)
                     assert len(walk) == len(ref) == N + 1

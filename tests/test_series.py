@@ -401,7 +401,6 @@ def test_geometric_sums_within_rounding_bound(W, monkeypatch):
     q = mp.exp(-mp.mpf(W))
     truth = (q / (1 - q), q * (2 - q) / (1 - q) ** 2)  # T(0, W), T(-1, W)
     first, second = tail_sum_pair(0.0, W)
-    assert _regime(0.0, W) == "geometric"
     for ev, x in ((tail_sum(0.0, W), truth[0]), (first, truth[0]), (second, truth[1])):
         assert not ev.divergent and ev.terms_used == 0
         err = abs(mp.mpf(ev.value) - x)
