@@ -18,7 +18,8 @@ starts at the convergence abscissa Z_c = max(P34, log L - alpha*beta, Z~_c),
 below which lambda_[1] is +inf, so no step is spent there.  From beta_hi on
 lambda_[1] <= 1 already at the floor Z_c = P34, which the solver then returns,
 so only results that read beta_lo or beta_hi solve them.  The composition
-boundary Z~_c is its own Newton solve, from P34 up.
+boundary Z~_c is its own Newton solve, from P34 up, made once per
+(params, beta): `spectral` keeps it, so P_mid and the pressure's Z_c share it.
 """
 
 from __future__ import annotations
@@ -129,19 +130,16 @@ def critical_set(params: ModelParams) -> CriticalSet:
     )
 
 
-def pressure_full(params: ModelParams, beta: float, z_c: float | None = None) -> float:
+def pressure_full(params: ModelParams, beta: float) -> float:
     """Pressure of the full system: the Z with lambda_[1] = 1 above the
     convergence abscissa Z_c = max(P34, log L - alpha*beta, Z~_c), by
     safeguarded Newton steps on the decreasing map and its Z-derivative
     (divergent evaluations count as above 1, and are bisected past).
 
-    `z_c` is `abscissa(params, beta).Z_c` when the caller already has it;
-    without it the composition boundary Z~_c is solved here once.  Both give
-    the same root.  From beta_hi on lambda_[1] <= 1 at Z_c = P34, and the
-    solver's floor rule returns P34 after one evaluation.
+    From beta_hi on lambda_[1] <= 1 at Z_c = P34, and the solver's floor
+    rule returns P34 after one evaluation.
     """
-    if z_c is None:
-        z_c = abscissa(params, beta).Z_c
+    z_c = abscissa(params, beta).Z_c
 
     def F(z: float) -> tuple[float, float]:
         lam = lambda_1(params, beta, z, slope=True)
@@ -171,15 +169,12 @@ def pressure_sample(params: ModelParams, beta: float) -> PressureSample:
         regime = BETWEEN
     else:
         regime = ABOVE_HI
-    p_mid = zt if zt is not None else p34
     return PressureSample(
         beta=beta,
         p34=p34,
-        p_mid=p_mid,
-        # from beta_hi on P = P34: the solve would only confirm the floor;
-        # below it the solve starts at Z_c = max(P_mid, log L - alpha*beta)
-        p_full=p34 if regime == ABOVE_HI else pressure_full(
-            params, beta, z_c=max(p_mid, math.log(params.L) - params.alpha * beta)),
+        p_mid=zt if zt is not None else p34,
+        # from beta_hi on P = P34: the solve would only confirm the floor
+        p_full=p34 if regime == ABOVE_HI else pressure_full(params, beta),
         ztilde=zt,
         regime=regime,
     )

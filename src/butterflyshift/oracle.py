@@ -143,12 +143,13 @@ def _return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
         start = w_one * eZ
         if graph.allowed(ONE, ONE):
             out[1] += start
-        n_aux = sum(1 for s in graph.successors(ONE) if is_aux(s))
-        aux = next((s for s in graph.alphabet if is_aux(s)), None)
-        if aux is not None:
-            n_a = sum(1 for s in graph.successors(aux) if is_aux(s))
+        aux_cols = np.fromiter(map(is_aux, graph.alphabet), bool, len(graph.alphabet))
+        n_aux = int(graph.adjacency[graph.alphabet.index(ONE), aux_cols].sum())
+        if aux_cols.any():
+            aux = int(aux_cols.argmax())
+            n_a = int(graph.adjacency[aux, aux_cols].sum())
             T[aux_state, aux_state] = n_a * w_one * eZ
-            read[aux_state] = graph.allowed(aux, ONE)
+            read[aux_state] = graph.allowed(graph.alphabet[aux], ONE)
         mass[aux_state] = start * n_aux * w_one * eZ
         if graph.allowed(ONE, TWO):
             mass[0] = start * into_two
@@ -206,20 +207,15 @@ def _renewal_tail_bound(lam_fn, params: ModelParams, beta: float, Z: float,
 
 
 def _compare_returns(params: ModelParams, beta: float, Z: float, N: int,
-                     graph: TransitionGraph | None, target: str,
-                     z_floor: float | None = None) -> Check:
+                     graph: TransitionGraph | None, target: str) -> Check:
     """The dp walk's first-return mass to [1] or [32] against the analytic
-    lambda; `z_floor`, the convergence abscissa, is solved for when omitted."""
+    lambda, above that lambda's convergence abscissa."""
     if graph is None:
         graph = build_graph(params)
     if target == ONE:
-        cyl, lam_fn = "1", _lambda_1
-        if z_floor is None:
-            z_floor = abscissa(params, beta).Z_c
+        cyl, lam_fn, z_floor = "1", _lambda_1, abscissa(params, beta).Z_c
     else:
-        cyl, lam_fn = "32", _lambda_32
-        if z_floor is None:
-            z_floor = abscissa_32(params, beta)
+        cyl, lam_fn, z_floor = "32", _lambda_32, abscissa_32(params, beta)
     if Z <= z_floor:
         raise ValueError(f"Z={Z} is not inside the [{cyl}] convergence domain (Z_c={z_floor})")
     if N > RAW_HORIZON_CAP:
@@ -233,26 +229,16 @@ def _compare_returns(params: ModelParams, beta: float, Z: float, N: int,
 
 
 def enumerate_returns_to_1(params: ModelParams, beta: float, Z: float, N: int,
-                           graph: TransitionGraph | None = None,
-                           z_floor: float | None = None) -> Check:
+                           graph: TransitionGraph | None = None) -> Check:
     """First-return enumeration to [1] (dp engine, N <= 30) vs. lambda_1 at a
-    (beta, Z) strictly inside its convergence domain.
-
-    `z_floor` is `abscissa(params, beta).Z_c` when the caller already has it
-    (it holds a composition-boundary solve); it is solved for when omitted.
-    """
-    return _compare_returns(params, beta, Z, N, graph, ONE, z_floor)
+    (beta, Z) strictly inside its convergence domain."""
+    return _compare_returns(params, beta, Z, N, graph, ONE)
 
 
 def enumerate_returns_to_32(params: ModelParams, beta: float, Z: float, N: int,
-                            graph: TransitionGraph | None = None,
-                            z_floor: float | None = None) -> Check:
-    """First-return enumeration to [32] (dp engine, N <= 30) vs. lambda_32.
-
-    `z_floor` is `abscissa_32(params, beta)` when the caller already has it
-    (in variant B it is a root solve); it is solved for when omitted.
-    """
-    return _compare_returns(params, beta, Z, N, graph, THREE, z_floor)
+                            graph: TransitionGraph | None = None) -> Check:
+    """First-return enumeration to [32] (dp engine, N <= 30) vs. lambda_32."""
+    return _compare_returns(params, beta, Z, N, graph, THREE)
 
 
 def abscissa_32(params: ModelParams, beta: float) -> float:
@@ -434,18 +420,13 @@ def verification_table(params: ModelParams, graph: TransitionGraph, n_return: in
     betas = [0.25, 0.5] if above else [0.5 * critical.critical_set(params).beta_hi]
     pressures = {}
     for b in betas:
-        z_c = abscissa(params, b).Z_c
-        pressures[b] = critical.pressure_full(params, b, z_c=z_c)
-        rows.append(enumerate_returns_to_1(params, b, pressures[b] + 0.2, n_return,
-                                           graph=graph, z_floor=z_c))
-        floor32 = abscissa_32(params, b)
-        Z32 = max(wing_pressure(params, b) + 0.3, floor32 + 0.2)
+        pressures[b] = critical.pressure_full(params, b)
+        rows.append(enumerate_returns_to_1(params, b, pressures[b] + 0.2, n_return, graph=graph))
+        Z32 = max(wing_pressure(params, b) + 0.3, abscissa_32(params, b) + 0.2)
         rows.append(enumerate_returns_to_32(params, b, Z32, min(n_return, RETURN_32_HORIZON),
-                                            graph=graph, z_floor=floor32))
+                                            graph=graph))
     p_mid0 = critical.pressure_mid(params, 0.0)
-    # Z_c(0) = max(P34(0), log L, Z~_c(0)) = max(P_mid(0), log L)
-    rows.append(_check("entropy vs P(0)",
-                       critical.pressure_full(params, 0.0, z_c=max(p_mid0, math.log(params.L))),
+    rows.append(_check("entropy vs P(0)", critical.pressure_full(params, 0.0),
                        incidence_entropy(graph), ENTROPY_TOL))
     rows.append(_check("entropy vs P_mid(0)", p_mid0,
                        incidence_entropy(graph, restrict_to=no_one_family(graph)),

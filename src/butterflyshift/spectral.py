@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .model import ModelParams, wing_pressure
 from .roots import newton_log_offset
@@ -129,8 +130,7 @@ def lambda_32(params: ModelParams, beta: float, Z: float) -> SpectralValue:
     number of times first, giving the geometric composition.
     """
     s1 = SeriesEval(0.0, 0.0, 0, False)  # the 1-family plays no role here
-    s2 = tail_sum(beta, Z)
-    s3 = sigma3(params, beta, Z)
+    s2, s3, _, _ = _wings(params, beta, Z, False)
     if s2.divergent or s3.divergent:
         return SpectralValue(math.inf, False, s1, s2, s3)
     z = s2.value * s3.value
@@ -155,13 +155,14 @@ def composition(params: ModelParams, beta: float, Z: float,
     return m * s2.value * s3.value, m * (d2 * s3.value + s2.value * d3)
 
 
+@lru_cache(maxsize=256)
 def _floor_and_boundary(params: ModelParams,
                         beta: float) -> tuple[float, float, float | None]:
     """(P34, m*Sigma2*Sigma3 at P34, the composition boundary or None).
 
     The floor evaluation carries its slope, so it doubles as the Newton
     solve's first evaluation (P34 + 1e-300 == P34) and no point is evaluated
-    twice.
+    twice.  A bounded memo solves each (params, beta) once for all callers.
     """
     z0 = wing_pressure(params, beta)
     at_floor = composition(params, beta, z0, slope=True)

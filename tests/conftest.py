@@ -42,8 +42,10 @@ def transition_solves(monkeypatch):
 
 @pytest.fixture
 def composition_points(monkeypatch):
-    """The Z of every spectral.composition call from here on, in call order."""
+    """The Z of every spectral.composition call from here on, in call order;
+    the composition-boundary memo starts empty."""
     points = []
+    spectral._floor_and_boundary.cache_clear()
     real = spectral.composition
 
     def counted(params, beta, Z, slope=False):
@@ -57,8 +59,10 @@ def composition_points(monkeypatch):
 @pytest.fixture
 def newton_solves(monkeypatch):
     """The floor of every Newton solve from here on, by module: "spectral"
-    solves composition boundaries and "critical" pressures."""
+    solves composition boundaries and "critical" pressures.  The
+    composition-boundary memo starts empty, so every boundary shows its solve."""
     floors = {"spectral": [], "critical": []}
+    spectral._floor_and_boundary.cache_clear()
     for name, module in (("spectral", spectral), ("critical", critical)):
         def counted(F, floor, seen=floors[name]):
             seen.append(floor)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from butterflyshift.critical import pressure_full, pressure_mid
-from butterflyshift import oracle, series
+from butterflyshift import oracle, series, spectral
 from butterflyshift.model import (
     ModelParams,
     ONE,
@@ -500,14 +500,14 @@ class TestVerificationTable:
         # the wing words never touch a 2: the extra 4 -> 2 edge leaves them exact
         assert all(r.ok for r in rows if r.name.startswith("L_n"))
 
-    def test_each_32_floor_solved_once(self, monkeypatch):
-        # in variant B each [32] floor is a composition-boundary solve
-        probes = []
-        solve = oracle.abscissa_32
-        monkeypatch.setattr(oracle, "abscissa_32", lambda p, b: probes.append(b) or solve(p, b))
+    def test_each_32_floor_solved_once(self, newton_solves):
+        # in variant B each [32] floor is a composition-boundary solve (of
+        # variant A), made once per probe beta right after the beta's Z_c;
+        # the last solve is P_mid(0)
         rows = verification_table(PARAMS_B, build_graph(PARAMS_B), 16, 8, 12)
         assert all(r.ok for r in rows if r.name.startswith("returns_to_32"))
-        assert probes == [0.25, 0.5]
+        floors = [wing_pressure(PARAMS_B, b) for b in (0.25, 0.25, 0.5, 0.5, 0.0)]
+        assert newton_solves["spectral"] == floors
 
     @pytest.mark.parametrize("params, boundaries", [(REFERENCE, 3), (PARAMS_B, 5)],
                              ids=["A", "B"])
@@ -546,6 +546,7 @@ class TestVerificationTable:
         # solves make no direct pass.  Summed directly, those two solves took
         # 31 of the table's 116 passes in A and 29 of 143 in B
         exponents = []
+        spectral._floor_and_boundary.cache_clear()  # every solve shows its passes
         real = series._direct
         monkeypatch.setattr(series, "_direct", lambda s, W, paired:
                             exponents.append(s) or real(s, W, paired))

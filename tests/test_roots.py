@@ -231,12 +231,14 @@ class TestDerivatives:
             seen.append(F(0.2))
             return newton_log_offset(F, floor)
 
+        spectral._floor_and_boundary.cache_clear()
         monkeypatch.setattr(critical, "newton_log_offset", spy)
         monkeypatch.setattr(spectral, "newton_log_offset", spy)
         pressure_full(REFERENCE, 0.5)
         composition_boundary(REFERENCE, 0.5)
-        # without z_c, pressure_full solves the composition boundary first
-        assert len(seen) == 3
+        # pressure_full solves the composition boundary first, and the memo
+        # hands it to composition_boundary: two solves, not three
+        assert len(seen) == 2
         assert all(value == math.inf for value, _ in seen)
 
 
@@ -284,8 +286,10 @@ class TestAgreesWithBisection:
 class TestEvaluationCount:
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Map evaluations of every Newton solve, counted through a wrapper."""
+        """Map evaluations of every Newton solve, counted through a wrapper;
+        the composition-boundary memo starts empty."""
         seen = []
+        spectral._floor_and_boundary.cache_clear()
 
         def counted_solver(F, floor):
             calls = [0]

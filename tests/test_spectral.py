@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from butterflyshift.critical import critical_set
+from butterflyshift.critical import critical_set, pressure_mid
 from butterflyshift.model import ModelParams, REFERENCE, wing_pressure
 from butterflyshift.series import sigma3, tail_sum
 from butterflyshift.spectral import (
@@ -21,6 +21,8 @@ from butterflyshift.spectral import (
 from conftest import assert_close
 
 PARAMS_B = ModelParams(1.0, 0.5, 1.0, 1.0, 1, "B")
+
+_log_uniform = st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)
 
 
 class TestLambda1:
@@ -128,6 +130,18 @@ class TestAbscissa:
         assert rep.binding == GEOMETRIC_ONE_FAMILY
         assert_close(rep.Z_c, math.log(50.0) - 1.2, 1e-12)
         assert not rep.converges_at_Zc
+
+    @given(alpha=_log_uniform, gamma=_log_uniform, delta=_log_uniform,
+           epsilon=st.floats(math.log(0.1), math.log(50.0)).map(math.exp),
+           L=st.integers(1, 400), variant=st.sampled_from("AB"), beta=st.floats(0.0, 4.0))
+    @settings(max_examples=40, deadline=None)
+    def test_Zc_is_p_mid_or_geometric(self, alpha, gamma, delta, epsilon, L, variant, beta):
+        # Z_c = max(P34, log L - alpha*beta, Z~_c) = max(P_mid, log L - alpha*beta),
+        # bit for bit: the pressure solves read Z_c and P_mid from one boundary
+        params = ModelParams(alpha, gamma, delta, epsilon, L, variant)
+        for b in (0.0, beta):
+            assert abscissa(params, b).Z_c == max(pressure_mid(params, b),
+                                                  math.log(L) - alpha * b), b
 
     def test_floor_evaluated_once_on_the_floor(self, composition_points):
         # past beta_lo the composition-boundary check's floor value is the
