@@ -10,11 +10,9 @@ enumeration over the transition graph.
 from .critical import (
     CriticalSet,
     EquilibriumReport,
-    GateauxReport,
     PressureSample,
     critical_set,
     equilibrium_report,
-    gateaux_check,
     pressure_full,
     pressure_mid,
     pressure_sample,
@@ -39,7 +37,6 @@ __all__ = [
     "Check",
     "CriticalSet",
     "EquilibriumReport",
-    "GateauxReport",
     "ModelParams",
     "PressureSample",
     "REFERENCE",
@@ -54,7 +51,6 @@ __all__ = [
     "enumerate_returns_to_1",
     "enumerate_returns_to_32",
     "equilibrium_report",
-    "gateaux_check",
     "incidence_entropy",
     "lambda_1",
     "lambda_32",

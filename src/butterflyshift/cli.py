@@ -192,7 +192,7 @@ def cmd_critical(cfg: RunConfig, out) -> int:
 
 def cmd_curves(cfg: RunConfig, out) -> int:
     grid = _beta_grid(cfg)
-    samples = [critical.pressure_sample(cfg.params, b) for b in grid]
+    samples = critical.pressure_curve(cfg.params, grid)
     rows = [[s.beta, s.p34, s.p_mid, s.p_full, s.ztilde, s.regime] for s in samples]
     _write_csv(out, ["beta", "p34", "p_mid", "p_full", "ztilde", "regime"], rows)
     if cfg.svg:

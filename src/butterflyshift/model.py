@@ -123,20 +123,6 @@ class TransitionGraph:
             succ = self._succ[a] = tuple(self._alphabet[j] for j in np.flatnonzero(row).tolist())
         return succ
 
-    def is_irreducible(self) -> bool:
-        """Every symbol reaches every other symbol through allowed edges."""
-        for start in self._alphabet:
-            seen = {start}
-            stack = [start]
-            while stack:
-                for t in self.successors(stack.pop()):
-                    if t not in seen:
-                        seen.add(t)
-                        stack.append(t)
-            if len(seen) != len(self._alphabet):
-                return False
-        return True
-
 
 def _position(index: dict[str, int], a: str, b: str) -> tuple[int, int]:
     """Matrix position of the edge (a, b); ValueError if a symbol is unknown."""

@@ -96,7 +96,8 @@ def _return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
     edge multiplies by an exact incremental potential factor.  Those factors
     fill one transfer matrix T, built once per walk from the graph's edges;
     each step is then mass <- T mass, and out[tau] is one dot product of the
-    mass with a read-out vector.  The 2-runs and the wing runs step alike
+    mass with a read-out vector.  Below the convergence abscissa the masses
+    can overflow: they read +inf, never NaN.  The 2-runs and the wing runs step alike
     for both targets.  A wing step factor is a single exponential,
     e^(gamma*beta-Z) onto a 3 and e^((gamma+delta)*beta-Z) onto a 4, which
     stays in range where e^((gamma+delta)*beta) alone would overflow.  A run
@@ -180,10 +181,32 @@ def _return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
                 read[runs(sym)] += finalize
         if graph.allowed(TWO, THREE):
             read[runs(TWO)] += 1.0
-    for tau in range(2, N + 1):
-        out[tau] = float(read @ mass)
-        mass = T @ mass
+    with np.errstate(invalid="ignore", over="ignore"):
+        tail = _walk_steps(T, read, mass, N, np.matmul)
+        if any(map(math.isnan, tail)):
+            # a mass overflowed to inf and met a zero factor: step again,
+            # reading inf * 0 as 0
+            tail = _walk_steps(T, read, mass, N, _saturating_product)
+    out[2:] = tail
     return out
+
+
+def _walk_steps(T: np.ndarray, read: np.ndarray, mass: np.ndarray, N: int,
+                product) -> list[float]:
+    """read . mass at the steps tau = 2..N of the walk mass <- T mass."""
+    tail = []
+    for _ in range(2, N + 1):
+        tail.append(float(product(read, mass)))
+        mass = product(T, mass)
+    return tail
+
+
+def _saturating_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """a @ x for nonnegative a and x, where an infinite x_j counts inf against
+    a positive a_ij and 0 against a zero one (IEEE inf * 0 is NaN)."""
+    infinite = np.isinf(x)
+    y = a @ np.where(infinite, 0.0, x)
+    return np.where((a[..., infinite] > 0.0).any(axis=-1), np.inf, y)
 
 
 def _renewal_tail_bound(lam_fn, params: ModelParams, beta: float, Z: float,

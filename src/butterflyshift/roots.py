@@ -74,7 +74,8 @@ def bisect_log_offset(f: Callable[[float], float], hi0: float = 1.0) -> RootResu
     return RootResult(w, g(w), (math.exp(t_lo), math.exp(t_hi)))
 
 
-def newton_log_offset(F: Callable[[float], tuple[float, float]], floor: float) -> RootResult:
+def newton_log_offset(F: Callable[[float], tuple[float, float]], floor: float,
+                      start: float = 1.0) -> RootResult:
     """Root of F(Z) = 1 on Z = floor + w > floor, for F positive and decreasing.
 
     F(Z) returns (value, dvalue/dZ); the value may be +inf ("still above the
@@ -92,10 +93,15 @@ def newton_log_offset(F: Callable[[float], tuple[float, float]], floor: float) -
     midpoint that rounds to the Z of a bracket end takes that end's place
     without a new evaluation.
 
-    The floor rule, the first upper end (w = 1, grown by 4x until F <= 1) and
+    The floor rule, the growth of the first upper end by 4x until F <= 1 and
     the residual (value - 1) are those of `bisect_log_offset`; the bracket is
-    returned as offsets.
+    returned as offsets.  The first upper end is `start` (w = 1 by default):
+    a grid solve passes the offset predicted from its neighbours' roots, and
+    any positive start still ends in a bracketed root.
     """
+    if not 0.0 < start <= HI_CAP:
+        raise ValueError(f"start must lie in (0, {HI_CAP:g}], got {start!r}")
+
     def at(w: float) -> tuple[float, float, float, float]:
         value, slope = F(floor + w)
         return w, floor + w, _not_nan(value, w), slope
@@ -104,7 +110,7 @@ def newton_log_offset(F: Callable[[float], tuple[float, float]], floor: float) -
     if value <= 1.0:
         return RootResult(OFFSET_FLOOR, value - 1.0, (OFFSET_FLOOR, OFFSET_FLOOR))
     lo = (w, z, value)                        # (w, Z, F) with F > 1
-    w, z, value, slope = at(1.0)
+    w, z, value, slope = at(start)
     while value > 1.0:
         lo = (w, z, value)
         if w * 4.0 > HI_CAP:

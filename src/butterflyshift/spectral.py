@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import wraps
 
 from .model import ModelParams, wing_pressure
 from .roots import newton_log_offset
@@ -39,6 +39,7 @@ from .series import (
 GEOMETRIC_ONE_FAMILY = "GeometricOneFamily"
 WING_COMPOSITION = "WingComposition"
 PRESSURE_FLOOR = "PressureFloor"
+MEMO_SIZE = 256
 
 
 def wing_multiplicity(params: ModelParams) -> int:
@@ -155,14 +156,40 @@ def composition(params: ModelParams, beta: float, Z: float,
     return m * s2.value * s3.value, m * (d2 * s3.value + s2.value * d3)
 
 
-@lru_cache(maxsize=256)
-def _floor_and_boundary(params: ModelParams,
-                        beta: float) -> tuple[float, float, float | None]:
+def _memo_per_point(solve):
+    """A bounded memo of solve(params, beta, start), keyed on (params, beta).
+
+    The start offset only says where the Newton solve begins, not which root
+    it finds, so it stays out of the key: a later call with another start, or
+    none, is handed the root already found.  The least recently used of
+    MEMO_SIZE entries leaves first, as with `functools.lru_cache`.
+    """
+    memo: dict = {}
+
+    @wraps(solve)
+    def memoized(params: ModelParams, beta: float, start: float = 1.0):
+        key = (params, beta)
+        hit = memo.pop(key, None)
+        if hit is None:
+            hit = solve(params, beta, start)
+            if len(memo) >= MEMO_SIZE:
+                del memo[next(iter(memo))]
+        memo[key] = hit
+        return hit
+
+    memoized.cache_clear = memo.clear
+    return memoized
+
+
+@_memo_per_point
+def _floor_and_boundary(params: ModelParams, beta: float,
+                        start: float) -> tuple[float, float, float | None]:
     """(P34, m*Sigma2*Sigma3 at P34, the composition boundary or None).
 
     The floor evaluation carries its slope, so it doubles as the Newton
     solve's first evaluation (P34 + 1e-300 == P34) and no point is evaluated
-    twice.  A bounded memo solves each (params, beta) once for all callers.
+    twice.  The solve's first upper end is `start` above P34.  The memo solves
+    each (params, beta) once for all callers.
     """
     z0 = wing_pressure(params, beta)
     at_floor = composition(params, beta, z0, slope=True)
@@ -172,10 +199,11 @@ def _floor_and_boundary(params: ModelParams,
     def F(z: float) -> tuple[float, float]:
         return at_floor if z == z0 else composition(params, beta, z, slope=True)
 
-    return z0, at_floor[0], z0 + newton_log_offset(F, z0).offset
+    return z0, at_floor[0], z0 + newton_log_offset(F, z0, start=start).offset
 
 
-def composition_boundary(params: ModelParams, beta: float) -> float | None:
+def composition_boundary(params: ModelParams, beta: float,
+                         start: float = 1.0) -> float | None:
     """The Z above P34(beta) where m*Sigma2*Sigma3 crosses 1, if it does.
 
     The map is strictly decreasing in Z, +inf-or-large at the floor for small
@@ -184,9 +212,11 @@ def composition_boundary(params: ModelParams, beta: float) -> float | None:
     steps on the map and its Z-derivative, starting at the floor P34, whose
     evaluation (with its slope) is the floor check itself.  A root closer to
     the floor than the solver can resolve (floor value within 1e-11 of 1)
-    also counts as absent.
+    also counts as absent.  `start` is the solve's first upper end above P34
+    (`roots.newton_log_offset`); it is read only by the first call for
+    (params, beta), since the root is kept for later calls.
     """
-    return _floor_and_boundary(params, beta)[2]
+    return _floor_and_boundary(params, beta, start)[2]
 
 
 def abscissa(params: ModelParams, beta: float) -> AbscissaReport:

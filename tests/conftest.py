@@ -64,9 +64,9 @@ def newton_solves(monkeypatch):
     floors = {"spectral": [], "critical": []}
     spectral._floor_and_boundary.cache_clear()
     for name, module in (("spectral", spectral), ("critical", critical)):
-        def counted(F, floor, seen=floors[name]):
+        def counted(F, floor, start=1.0, seen=floors[name]):
             seen.append(floor)
-            return roots.newton_log_offset(F, floor)
+            return roots.newton_log_offset(F, floor, start=start)
         monkeypatch.setattr(module, "newton_log_offset", counted)
     return floors
 

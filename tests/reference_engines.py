@@ -21,14 +21,17 @@ route that is slower or shares less with the fast code:
 The literal engine rests on the finite-word machinery kept here as well
 (`Word`, its continuation tags, the per-position potential `phi_at` and the
 Birkhoff weights), and `edge_set` lists the butterfly graph's edges pair by
-pair as the reference for `build_graph`'s block-filled adjacency matrix.
+pair as the reference for `build_graph`'s block-filled adjacency matrix;
+`is_irreducible` checks that graph's reachability.  `gateaux_check` forms
+the one-sided difference quotients of the variant B pressure above beta_hi,
+from the closed-form wing pressure, for the directional-slope checks.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -45,7 +48,9 @@ from butterflyshift.model import (
     aux_symbol,
     is_aux,
     is_one_family,
+    wing_pressure,
 )
+from butterflyshift.critical import critical_set
 from butterflyshift.spectral import lambda_1, wing_multiplicity
 
 LITERAL_HORIZON_CAP = 14
@@ -92,6 +97,21 @@ def edge_set(params: ModelParams, extra_edges=(), drop_edges=()) -> frozenset[tu
     edges.update(extra_edges)
     edges.difference_update(drop_edges)
     return frozenset(edges)
+
+
+def is_irreducible(graph: TransitionGraph) -> bool:
+    """Every symbol reaches every other symbol through allowed edges."""
+    for start in graph.alphabet:
+        seen = {start}
+        stack = [start]
+        while stack:
+            for t in graph.successors(stack.pop()):
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        if len(seen) != len(graph.alphabet):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -568,3 +588,54 @@ def mp_periodic_orbit_pressure(params: ModelParams, beta: float, n: int,
                 vec = nxt
             trace += vec.get(start, 0)
         return float(mpmath.log(trace) / n)
+
+
+# ---------------------------------------------------------------------------
+# directional slopes of the variant B pressure above beta_hi
+
+@dataclass(frozen=True)
+class GateauxReport:
+    t_values: tuple[float, ...]
+    symmetric_quotients: tuple[float, ...]
+    asymmetric_quotients: tuple[float, ...]
+    symmetric_slopes: tuple[float, float]   # (left, right)
+    asymmetric_slopes: tuple[float, float]
+
+
+def gateaux_check(params: ModelParams, beta: float, t_values: list[float]) -> GateauxReport:
+    """One-sided difference quotients of the pressure under wing perturbations.
+
+    Variant B above beta_hi only, where the pressure is the maximum of the two
+    wing pressures.  The symmetric family shifts gamma on BOTH wings: the
+    quotients agree from both sides (slope beta; the pressure stays analytic
+    despite the two coexisting equilibria).  The asymmetric family shifts only
+    the unprimed wing: the max of the two closed forms has one-sided slopes
+    beta and 0, exhibiting why the symmetry requirement matters.
+    """
+    if params.variant != "B":
+        raise ValueError("gateaux_check requires variant B")
+    crit = critical_set(params)
+    if not beta > crit.beta_hi:
+        raise ValueError(f"gateaux_check requires beta > beta_hi = {crit.beta_hi}")
+    ts = tuple(t for t in t_values if t != 0.0)
+    if not ts or not any(t > 0 for t in ts) or not any(t < 0 for t in ts):
+        raise ValueError("t_values must contain nonzero values on both sides of 0")
+    p0 = wing_pressure(params, beta)
+    sym, asym = [], []
+    for t in ts:
+        # both wings shifted: still two mirrored wings with pressure P34(gamma+t)
+        p_t = wing_pressure(replace(params, gamma=params.gamma + t), beta)
+        sym.append((p_t - p0) / t)
+        # only the unprimed wing shifted: pressure is the larger wing pressure
+        asym.append((max(p_t, p0) - p0) / t)
+    def one_sided(qs):
+        left = min(((t, q) for t, q in zip(ts, qs) if t < 0), key=lambda p: abs(p[0]))
+        right = min(((t, q) for t, q in zip(ts, qs) if t > 0), key=lambda p: abs(p[0]))
+        return (left[1], right[1])
+    return GateauxReport(
+        t_values=ts,
+        symmetric_quotients=tuple(sym),
+        asymmetric_quotients=tuple(asym),
+        symmetric_slopes=one_sided(sym),
+        asymmetric_slopes=one_sided(asym),
+    )

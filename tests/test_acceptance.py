@@ -14,7 +14,6 @@ from butterflyshift.cli import EXIT_ORACLE_FAIL, main as cli_main
 from butterflyshift.critical import (
     critical_set,
     equilibrium_report,
-    gateaux_check,
     pressure_full,
     pressure_mid,
 )
@@ -28,6 +27,8 @@ from butterflyshift.oracle import (
     richardson_orbit_pressure,
 )
 from butterflyshift.series import riemann_zeta
+
+from reference_engines import gateaux_check
 
 # transitions well separated: the large one-family subshift detaches beta_c
 # from the zeta pole, so the pressure gap below beta_c is numerically visible

@@ -204,6 +204,24 @@ class TestCurves:
             assert code == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_one_pressure_sample_call_per_point(self, tmp_path, monkeypatch):
+        # a wrapper on critical.pressure_sample sees each grid point once, so
+        # a hook there (the benchmark's per-point timing) can stamp every point
+        calls = []
+        real = critical.pressure_sample
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(critical, "pressure_sample", counted)
+        out_path = tmp_path / "curves.csv"
+        code, _ = run(["curves", "--config", CFG, "--out", str(out_path)])
+        assert code == EXIT_OK
+        rows = read_csv(out_path)
+        assert len(rows) == 121
+        assert calls == [float(r["beta"]) for r in rows]
+
     def test_svg_written(self, tmp_path):
         out_path = tmp_path / "curves.csv"
         code, _ = run(["curves", "--config", CFG, "--beta-stop", "1.1",

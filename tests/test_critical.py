@@ -6,7 +6,6 @@ import pytest
 from butterflyshift.critical import (
     critical_set,
     equilibrium_report,
-    gateaux_check,
     pressure_full,
     pressure_mid,
     pressure_sample,
@@ -18,6 +17,7 @@ from butterflyshift.series import riemann_zeta, sigma3, tail_sum
 from butterflyshift.spectral import abscissa, composition, composition_boundary, lambda_1
 
 from conftest import NEAR_SWITCH_ABOVE, NEAR_SWITCH_BELOW, assert_close
+from reference_engines import gateaux_check
 
 PARAMS_B = ModelParams(1.0, 0.5, 1.0, 1.0, 1, "B")
 # well-separated transitions: the one-family subshift is large enough that the

@@ -32,6 +32,7 @@ from reference_engines import (
     continuation_consistent,
     edge_set,
     is_admissible,
+    is_irreducible,
     mirror_word,
     phi_at,
 )
@@ -77,7 +78,7 @@ class TestGraph:
     @pytest.mark.parametrize("variant,L", [("A", 1), ("A", 3), ("B", 1), ("B", 5)])
     def test_irreducible(self, variant, L):
         p = ModelParams(1.0, 0.5, 1.0, 1.0, L=L, variant=variant)
-        assert build_graph(p).is_irreducible()
+        assert is_irreducible(build_graph(p))
 
     def test_corrupted_graph_hook(self, params):
         g = build_graph(params, extra_edges=[("4", TWO)])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,25 @@ class TestArrayWalk:
             walk = oracle._return_walk(build_graph(p), p, 0.5, wing_pressure(p, 0.5) + 0.3,
                                        20, target)
             assert all(math.isfinite(v) and v >= 0.0 for v in walk)
+
+    def test_overflowed_masses_read_inf(self):
+        # at Z = P34 < Z_c the masses grow past the double range from about
+        # tau = 284; a step that met inf * 0 read NaN there, with a warning
+        p = ModelParams(1.0, 0.5, 1.0, 1.0, L=250)
+        beta = 1.0833
+        Z, graph = wing_pressure(p, beta), build_graph(p)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            walk = oracle._return_walk(graph, p, beta, Z, 400, ONE)
+        first = walk.index(math.inf)
+        assert 200 < first < 400
+        assert all(v == math.inf for v in walk[first:])
+        # the dict walk's separate factors overflow a step or so earlier
+        ref = dict_return_walk(graph, p, beta, Z, 400, ONE)
+        for tau in range(first):
+            assert math.isfinite(walk[tau]), tau
+            if math.isfinite(ref[tau]):
+                assert abs(walk[tau] - ref[tau]) <= 4e-15 * 400 / 22 * ref[tau], tau
 
 
 def word_count(params, N):

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from butterflyshift import critical, spectral
-from butterflyshift.critical import critical_set, pressure_full, pressure_mid
+from butterflyshift.critical import (
+    critical_set,
+    pressure_curve,
+    pressure_full,
+    pressure_mid,
+    pressure_sample,
+)
 from butterflyshift.model import ModelParams, REFERENCE, wing_pressure
 from butterflyshift.roots import OFFSET_FLOOR, bisect_log_offset, newton_log_offset
 from butterflyshift.spectral import (
@@ -160,6 +166,22 @@ class TestNewtonLogOffset:
         assert abs(r.offset - 200.0) <= 2 * math.ulp(200.0)
         assert r.bracket[1] > 1.0
 
+    def test_any_start_brackets_the_root(self):
+        # the first upper end may lie below the root (grown by 4x), just above
+        # it, or far above it: each ends in the same bracketed root
+        def F(z):
+            return math.exp(-3.0 * (z - 0.8)), -3.0 * math.exp(-3.0 * (z - 0.8))
+
+        for start in (1e-12, 1e-6, 0.3 * 1.02, 1.0, 1e6):
+            r = newton_log_offset(F, 0.5, start=start)
+            assert abs(0.5 + r.offset - 0.8) <= 2 * math.ulp(0.8) + 1.2e-16 / 3.0, start
+            assert r.bracket[0] <= r.offset <= r.bracket[1]
+
+    def test_start_outside_the_bracket_range_raises(self):
+        for start in (0.0, -1.0, math.nan, math.inf, 2e9):
+            with pytest.raises(ValueError, match="start"):
+                newton_log_offset(lambda z: (math.exp(-z), -math.exp(-z)), 0.0, start=start)
+
     def test_no_sign_change_raises(self):
         with pytest.raises(ArithmeticError, match="bracket cap"):
             newton_log_offset(lambda z: (2.0, 0.0), 0.0)
@@ -227,9 +249,9 @@ class TestDerivatives:
         # Newton solves must see +inf there, which counts as above the root
         seen = []
 
-        def spy(F, floor):
+        def spy(F, floor, start=1.0):
             seen.append(F(0.2))
-            return newton_log_offset(F, floor)
+            return newton_log_offset(F, floor, start=start)
 
         spectral._floor_and_boundary.cache_clear()
         monkeypatch.setattr(critical, "newton_log_offset", spy)
@@ -283,27 +305,51 @@ class TestAgreesWithBisection:
                     assert abs(zt - zt_ref) <= 1e-13, (params, beta)
 
 
+class TestWarmStart:
+    """The warm-started grid lands within 1e-13 of the cold solves, point by point."""
+
+    @pytest.mark.parametrize("params,grid", [
+        (REFERENCE, REFERENCE_GRID), (PARAMS_B, REFERENCE_GRID),
+        (NEAR_BOUNDARY, NEAR_BOUNDARY_GRID), *[(p, None) for p in _criterion_7_sets()]],
+        ids=["A", "B", "near_boundary", *[f"criterion_7_{i}" for i in range(11)]])
+    def test_agrees_with_cold_solves(self, params, grid):
+        if grid is None:  # a criterion 7 set: on to 20 % past beta_hi
+            grid = [round(0.01 * k, 12) for k in range(int(120 * critical_set(params).beta_hi) + 1)]
+        spectral._floor_and_boundary.cache_clear()
+        warm = pressure_curve(params, grid)
+        spectral._floor_and_boundary.cache_clear()
+        cold = [pressure_sample(params, beta) for beta in grid]
+        assert [s.beta for s in warm] == grid
+        for w, c in zip(warm, cold):
+            assert w.regime == c.regime and w.p34 == c.p34, w.beta
+            assert (w.ztilde is None) == (c.ztilde is None), w.beta
+            if c.ztilde is not None:
+                assert abs(w.ztilde - c.ztilde) <= 1e-13, w.beta
+            assert abs(w.p_full - c.p_full) <= 1e-13, w.beta
+            assert abs(w.p_mid - c.p_mid) <= 1e-13, w.beta
+
+
 class TestEvaluationCount:
     @pytest.fixture
     def counts(self, monkeypatch):
-        """Map evaluations of every Newton solve, counted through a wrapper;
-        the composition-boundary memo starts empty."""
-        seen = []
+        """Map evaluations of every Newton solve, counted through a wrapper,
+        by module: "spectral" solves composition boundaries and "critical"
+        pressures.  The composition-boundary memo starts empty."""
+        seen = {"spectral": [], "critical": []}
         spectral._floor_and_boundary.cache_clear()
+        for name, module in (("spectral", spectral), ("critical", critical)):
+            def counted_solver(F, floor, start=1.0, solves=seen[name]):
+                calls = [0]
 
-        def counted_solver(F, floor):
-            calls = [0]
+                def counted(z):
+                    calls[0] += 1
+                    return F(z)
 
-            def counted(z):
-                calls[0] += 1
-                return F(z)
+                result = newton_log_offset(counted, floor, start=start)
+                solves.append(calls[0])
+                return result
 
-            result = newton_log_offset(counted, floor)
-            seen.append(calls[0])
-            return result
-
-        monkeypatch.setattr(critical, "newton_log_offset", counted_solver)
-        monkeypatch.setattr(spectral, "newton_log_offset", counted_solver)
+            monkeypatch.setattr(module, "newton_log_offset", counted_solver)
         return seen
 
     @pytest.mark.parametrize("params", [REFERENCE, PARAMS_B], ids=["A", "B"])
@@ -312,16 +358,28 @@ class TestEvaluationCount:
             pressure_full(params, beta)
             pressure_mid(params, beta)
         # measured: at most 10 and a mean of 7.5 (A) and 7.7 (B) per solve
-        assert counts and max(counts) <= 12
-        assert sum(counts) <= 9 * len(counts)
+        solves = counts["spectral"] + counts["critical"]
+        assert solves and max(solves) <= 12
+        assert sum(solves) <= 9 * len(solves)
 
     def test_near_boundary_ceiling(self, counts):
         # solved from P34 instead of Z_c, the pressure took up to 61 here
         for beta in NEAR_BOUNDARY_GRID + below_beta_lo(NEAR_BOUNDARY):
             pressure_full(NEAR_BOUNDARY, beta)
             pressure_mid(NEAR_BOUNDARY, beta)
-        assert counts and max(counts) <= 13
-        assert sum(counts) <= 9 * len(counts)
+        solves = counts["spectral"] + counts["critical"]
+        assert solves and max(solves) <= 13
+        assert sum(solves) <= 9 * len(solves)
+
+    @pytest.mark.parametrize("params", [REFERENCE, PARAMS_B], ids=["A", "B"])
+    def test_warm_started_grid(self, params, counts):
+        # measured: means of 5.11 (A) and 5.23 (B) per pressure solve and
+        # 4.93 (A) and 5.22 (B) per boundary solve, at most 8; cold, each
+        # mean is about 8
+        pressure_curve(params, REFERENCE_GRID)
+        for solves in counts.values():
+            assert solves and max(solves) <= 12
+            assert sum(solves) <= 5.5 * len(solves)
 
 
 _log_uniform = st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)
