@@ -97,8 +97,8 @@ def _return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
     fill one transfer matrix T, built once per walk from the graph's edges;
     each step is then mass <- T mass, and out[tau] is one dot product of the
     mass with a read-out vector.  Below the convergence abscissa the masses
-    can overflow: they read +inf, never NaN.  The 2-runs and the wing runs step alike
-    for both targets.  A wing step factor is a single exponential,
+    can overflow: they read +inf, never NaN.  The 2-runs and the wing runs
+    step alike for both targets.  A wing step factor is a single exponential,
     e^(gamma*beta-Z) onto a 3 and e^((gamma+delta)*beta-Z) onto a 4, which
     stays in range where e^((gamma+delta)*beta) alone would overflow.  A run
     at step tau is at most tau - 1 long, so no mass outgrows the N lengths.
