@@ -19,7 +19,11 @@ below which lambda_[1] is +inf, so no step is spent there.  From beta_hi on
 lambda_[1] <= 1 already at the floor Z_c = P34, which the solver then returns,
 so only results that read beta_lo or beta_hi solve them.  The composition
 boundary Z~_c is its own Newton solve, from P34 up, made once per
-(params, beta): `spectral` keeps it, so P_mid and the pressure's Z_c share it.
+(wing parameters, beta): `spectral` keeps it, so P_mid and the pressure's
+Z_c share it.  beta_lo, Z~_c and P_mid read only the wing parameters
+(gamma, delta, eps, variant), so they are memoized per `model.wing_params`
+(and beta): sets that differ only in alpha or L, as on an L-scan, share
+them, and only beta_hi and P are solved per full parameter set.
 
 Each solve's first upper end is w = 1 above its floor, unless the caller
 passes another.  On a beta-grid (`pressure_curve`) it is predicted from the
@@ -35,8 +39,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .model import ModelParams, wing_pressure
-from .roots import bisect_log_offset, newton_log_offset
+from .model import ModelParams, wing_params, wing_pressure
+from .roots import RootResult, bisect_log_offset, newton_log_offset
 from .series import riemann_zeta
 from .spectral import abscissa, composition, composition_boundary, lambda_1
 
@@ -95,15 +99,25 @@ class EquilibriumReport:
 
 
 @lru_cache(maxsize=256)
-def critical_set(params: ModelParams) -> CriticalSet:
-    """Both transition parameters of the system (cached per parameter set)."""
-    eps = params.epsilon
+def _small_transition(wing: ModelParams) -> RootResult:
+    """The bisection for beta_lo of the wing parameters `wing`, in the offset
+    u = eps*beta - 1 above the zeta pole (cached per wing parameter set)."""
+    eps = wing.epsilon
 
     def f_lo(u: float) -> float:
         b = (1.0 + u) / eps
-        return composition(params, b, wing_pressure(params, b))[0] - 1.0
+        return composition(wing, b, wing_pressure(wing, b))[0] - 1.0
 
-    lo = bisect_log_offset(f_lo)
+    return bisect_log_offset(f_lo)
+
+
+@lru_cache(maxsize=256)
+def critical_set(params: ModelParams) -> CriticalSet:
+    """Both transition parameters of the system: beta_hi cached per parameter
+    set, beta_lo per wing parameter set (`model.wing_params`), which it shares
+    with every alpha and L."""
+    eps = params.epsilon
+    lo = _small_transition(wing_params(params))
     b_lo = (1.0 + lo.offset) / eps
 
     def f_hi(v: float) -> float:

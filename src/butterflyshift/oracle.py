@@ -267,7 +267,9 @@ def enumerate_returns_to_32(params: ModelParams, beta: float, Z: float, N: int,
 def abscissa_32(params: ModelParams, beta: float) -> float:
     """Infimum of the lambda_[32] convergence domain: P34 for one pair of
     wings; in variant B, where Sigma2*Sigma3 must stay below 1, the one-wing
-    composition boundary, which is P_mid of variant A."""
+    composition boundary, which is P_mid of variant A.  That boundary is
+    solved once per (wing parameters, beta) and shared with every alpha and L
+    (`spectral` memoizes it)."""
     if params.variant == "A":
         return wing_pressure(params, beta)
     return critical.pressure_mid(replace(params, variant="A"), beta)
@@ -316,20 +318,24 @@ def incidence_matrix(graph: TransitionGraph, restrict_to=None) -> np.ndarray:
 
 
 def incidence_entropy(graph: TransitionGraph, restrict_to=None) -> float:
-    """log of the spectral radius of the 0/1 incidence matrix, by power iteration."""
+    """log of the spectral radius of the 0/1 incidence matrix, by power iteration.
+
+    Each step makes one matrix-vector product: M v, which gives the Rayleigh
+    quotient v . M v of the unit vector v, is also the next step's vector.
+    """
     M = incidence_matrix(graph, restrict_to)
-    v = np.ones(M.shape[0]) / math.sqrt(M.shape[0])
+    w = M @ (np.ones(M.shape[0]) / math.sqrt(M.shape[0]))
     lam = 0.0
     for _ in range(POWER_MAX_ITER):
-        w = M @ v
         nrm = float(np.linalg.norm(w))
         if nrm == 0.0:
             return -math.inf
-        v_new = w / nrm
-        lam_new = float(v_new @ (M @ v_new))
+        v = w / nrm
+        w = M @ v
+        lam_new = float(v @ w)
         if abs(lam_new - lam) < POWER_TOL * max(1.0, lam_new):
             return math.log(lam_new)
-        v, lam = v_new, lam_new
+        lam = lam_new
     return math.log(lam)
 
 

@@ -16,6 +16,12 @@ for m Sigma2 Sigma3.  Asked for its slope, it also returns the
 Z-derivative (every term of a series in e^(-nZ) gains a factor -n), from
 two paired series passes instead of two single ones; the root solves for the
 pressure and the composition boundary ask for it.
+
+The composition m Sigma2 Sigma3 reads only the wing parameters (gamma,
+delta, eps, variant), never alpha or L.  Its boundary Z~_c and its floor
+value at P34 are therefore solved once per (wing parameters, beta) and
+memoized on `model.wing_params`: every alpha and L of one wing set, and
+`abscissa`, `critical.pressure_mid` and `oracle.abscissa_32`, share them.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import math
 from dataclasses import dataclass
 from functools import wraps
 
-from .model import ModelParams, wing_pressure
+from .model import ModelParams, wing_params, wing_pressure
 from .roots import newton_log_offset
 from .series import (
     SeriesEval,
@@ -157,17 +163,21 @@ def composition(params: ModelParams, beta: float, Z: float,
 
 
 def _memo_per_point(solve):
-    """A bounded memo of solve(params, beta, start), keyed on (params, beta).
+    """A bounded memo of a wing-only solve(params, beta, start), keyed on
+    (wing_params(params), beta).
 
-    The start offset only says where the Newton solve begins, not which root
-    it finds, so it stays out of the key: a later call with another start, or
-    none, is handed the root already found.  The least recently used of
-    MEMO_SIZE entries leaves first, as with `functools.lru_cache`.
+    The solve runs on the wing parameters, so every alpha and L of one wing
+    set is handed the same result.  The start offset only says where the
+    Newton solve begins, not which root it finds, so it stays out of the key:
+    a later call with another start, or none, is handed the root already
+    found.  The least recently used of MEMO_SIZE entries leaves first, as
+    with `functools.lru_cache`.
     """
     memo: dict = {}
 
     @wraps(solve)
     def memoized(params: ModelParams, beta: float, start: float = 1.0):
+        params = wing_params(params)
         key = (params, beta)
         hit = memo.pop(key, None)
         if hit is None:
@@ -189,7 +199,7 @@ def _floor_and_boundary(params: ModelParams, beta: float,
     The floor evaluation carries its slope, so it doubles as the Newton
     solve's first evaluation (P34 + 1e-300 == P34) and no point is evaluated
     twice.  The solve's first upper end is `start` above P34.  The memo solves
-    each (params, beta) once for all callers.
+    each (wing parameters, beta) once for all callers.
     """
     z0 = wing_pressure(params, beta)
     at_floor = composition(params, beta, z0, slope=True)
@@ -214,7 +224,7 @@ def composition_boundary(params: ModelParams, beta: float,
     the floor than the solver can resolve (floor value within 1e-11 of 1)
     also counts as absent.  `start` is the solve's first upper end above P34
     (`roots.newton_log_offset`); it is read only by the first call for
-    (params, beta), since the root is kept for later calls.
+    (wing parameters, beta), since the root is kept for later calls.
     """
     return _floor_and_boundary(params, beta, start)[2]
 

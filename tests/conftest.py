@@ -18,11 +18,20 @@ NEAR_SWITCH_ABOVE = ModelParams(3.0, 0.2, 0.5, 1.77902036, 2)
 NEAR_SWITCH_BELOW = ModelParams(3.0, 0.2, 0.5, 1.779020361, 2)
 
 
+def clear_solve_memos():
+    """Empty every memo of solved roots: the critical sets, the beta_lo
+    bisections and the composition boundaries, so that the next solve of any
+    set shows all of its work."""
+    critical.critical_set.cache_clear()
+    critical._small_transition.cache_clear()
+    spectral._floor_and_boundary.cache_clear()
+
+
 @pytest.fixture
 def transition_solves(monkeypatch):
     """Calls of critical.critical_set and of roots.bisect_log_offset from here
-    on, by name; the critical-set cache starts empty, so that every set
-    solved shows its bisections."""
+    on, by name; every solve memo starts empty, so that every set solved
+    shows its bisections."""
     counts = {"critical_set": 0, "bisect_log_offset": 0}
 
     def counted(name, fn):
@@ -31,7 +40,7 @@ def transition_solves(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    critical.critical_set.cache_clear()
+    clear_solve_memos()
     monkeypatch.setattr(critical, "critical_set",
                         counted("critical_set", critical.critical_set))
     bisect = counted("bisect_log_offset", roots.bisect_log_offset)
@@ -43,9 +52,9 @@ def transition_solves(monkeypatch):
 @pytest.fixture
 def composition_points(monkeypatch):
     """The Z of every spectral.composition call from here on, in call order;
-    the composition-boundary memo starts empty."""
+    every solve memo starts empty."""
     points = []
-    spectral._floor_and_boundary.cache_clear()
+    clear_solve_memos()
     real = spectral.composition
 
     def counted(params, beta, Z, slope=False):
@@ -59,10 +68,10 @@ def composition_points(monkeypatch):
 @pytest.fixture
 def newton_solves(monkeypatch):
     """The floor of every Newton solve from here on, by module: "spectral"
-    solves composition boundaries and "critical" pressures.  The
-    composition-boundary memo starts empty, so every boundary shows its solve."""
+    solves composition boundaries and "critical" pressures.  Every solve memo
+    starts empty, so every boundary shows its solve."""
     floors = {"spectral": [], "critical": []}
-    spectral._floor_and_boundary.cache_clear()
+    clear_solve_memos()
     for name, module in (("spectral", spectral), ("critical", critical)):
         def counted(F, floor, start=1.0, seen=floors[name]):
             seen.append(floor)

@@ -326,6 +326,14 @@ class TestSweep:
         eb = [float(r["eps_beta_hi"]) for r in rows]
         assert eb[0] < eb[1] < eb[2]
 
+    def test_L_sweep_solves_beta_lo_once(self, tmp_path, transition_solves):
+        # beta_lo reads only the wing parameters, which an L-scan keeps: one
+        # bisection for it and one for each set's beta_hi
+        code, _ = run(["sweep", "--config", CFG, "--param", "L",
+                       "--values", "1,5,20,50,100,175,250", "--out", str(tmp_path / "s.csv")])
+        assert code == EXIT_OK
+        assert transition_solves["bisect_log_offset"] == 1 + 7
+
     def test_empty_values_exits_2(self):
         code, _ = run(["sweep", "--config", CFG, "--param", "L", "--values", ""])
         assert code == EXIT_CONFIG

@@ -1,8 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from butterflyshift import critical, spectral
 from butterflyshift.critical import (
     critical_set,
     equilibrium_report,
@@ -11,12 +15,13 @@ from butterflyshift.critical import (
     pressure_sample,
     zeta_at_beta_lo,
 )
-from butterflyshift.model import ModelParams, REFERENCE, build_graph, wing_pressure
-from butterflyshift.oracle import incidence_entropy, no_one_family
+from butterflyshift.model import ModelParams, REFERENCE, build_graph, wing_params, wing_pressure
+from butterflyshift.oracle import abscissa_32, incidence_entropy, no_one_family
 from butterflyshift.series import riemann_zeta, sigma3, tail_sum
-from butterflyshift.spectral import abscissa, composition, composition_boundary, lambda_1
+from butterflyshift.spectral import (abscissa, composition, composition_boundary, lambda_1,
+                                     lambda_32)
 
-from conftest import NEAR_SWITCH_ABOVE, NEAR_SWITCH_BELOW, assert_close
+from conftest import NEAR_SWITCH_ABOVE, NEAR_SWITCH_BELOW, assert_close, clear_solve_memos
 from reference_engines import gateaux_check
 
 PARAMS_B = ModelParams(1.0, 0.5, 1.0, 1.0, 1, "B")
@@ -425,3 +430,49 @@ class TestVariantB:
         h_mid = incidence_entropy(graph, restrict_to=no_one_family(graph))
         assert_close(pressure_mid(PARAMS_B, 0.0), h_mid, 1e-8)
         assert_close(h_mid, math.log(1.0 + math.sqrt(3.0)), 1e-10)
+
+
+def _hex(*values):
+    """Each float as float.hex, each None as None, tuples flattened."""
+    flat = []
+    for v in values:
+        flat.extend(v if isinstance(v, tuple) else (v,))
+    return [None if v is None else float.hex(v) for v in flat]
+
+
+def _wing_quantities(params, beta):
+    """Everything memoized per wing parameter set, each solved cold on `params`."""
+    clear_solve_memos()
+    z0 = wing_pressure(params, beta)
+    crit = critical_set(params)
+    z32 = abscissa_32(params, beta)
+    lam = lambda_32(params, beta, z32 + 0.2)
+    return _hex(*(composition(params, beta, z, slope=True) for z in (z0, z0 + 0.1, z0 + 1.0)),
+                composition_boundary(params, beta), pressure_mid(params, beta), z32,
+                lam.value, crit.beta_lo, crit.residual_lo, crit.bracket_lo)
+
+
+_log_uniform = st.floats(math.log(1e-2), math.log(1e2)).map(math.exp)
+
+
+class TestWingMemoKey:
+    """The wing-only solves read neither alpha nor L, so memoizing them per
+    `wing_params` hands every set the bits its own solve would give."""
+
+    @given(alpha=_log_uniform, gamma=_log_uniform, delta=_log_uniform,
+           epsilon=st.floats(math.log(0.2), math.log(20.0)).map(math.exp),
+           L=st.integers(1, 400), variant=st.sampled_from("AB"), beta=st.floats(0.0, 4.0))
+    @settings(max_examples=40, deadline=None)
+    def test_alpha_and_L_unread(self, alpha, gamma, delta, epsilon, L, variant, beta):
+        params = ModelParams(alpha, gamma, delta, epsilon, L, variant)
+        wing = wing_params(params)
+        assert wing == replace(params, alpha=1.0, L=1)
+        assert _wing_quantities(params, beta) == _wing_quantities(wing, beta)
+        # the memoized solves themselves, run on the full set past their memos
+        solve_boundary = spectral._floor_and_boundary.__wrapped__
+        assert (_hex(*solve_boundary(params, beta, 1.0))
+                == _hex(*solve_boundary(wing, beta, 1.0)))
+        solve_lo = critical._small_transition.__wrapped__
+        lo, lo_wing = solve_lo(params), solve_lo(wing)
+        assert (_hex(lo.offset, lo.residual, lo.bracket)
+                == _hex(lo_wing.offset, lo_wing.residual, lo_wing.bracket))

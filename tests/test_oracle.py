@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from butterflyshift.critical import pressure_full, pressure_mid
-from butterflyshift import oracle, series, spectral
+from butterflyshift import oracle, series
 from butterflyshift.model import (
     ModelParams,
     ONE,
@@ -31,7 +31,7 @@ from butterflyshift.oracle import (
     verification_table,
 )
 
-from conftest import NEAR_SWITCH_ABOVE, NEAR_SWITCH_BELOW, assert_close
+from conftest import NEAR_SWITCH_ABOVE, NEAR_SWITCH_BELOW, assert_close, clear_solve_memos
 from reference_engines import (
     compressed_gap_returns_to_1,
     compressed_partial_returns_to_1,
@@ -541,6 +541,19 @@ class TestVerificationTable:
                                                     math.log(params.L))
         assert len(newton_solves["critical"]) == 3
 
+    def test_new_L_solves_no_boundary(self, newton_solves):
+        # the composition boundaries read only the wing parameters: after the
+        # L = 1 table, an L = 299 table solves its pressures and none of them
+        solved = verification_table(REFERENCE, build_graph(REFERENCE), 16, 8, 12)
+        assert len(newton_solves["spectral"]) == 3
+        newton_solves["spectral"].clear()
+        newton_solves["critical"].clear()
+        p = ModelParams(1.0, 0.5, 1.0, 1.0, 299)
+        rows = verification_table(p, build_graph(p), 16, 8, 12)
+        assert newton_solves["spectral"] == []
+        assert len(newton_solves["critical"]) == 3
+        assert [r.name for r in rows] == [r.name for r in solved]
+
     def test_low_beta_hi_probes_half_of_it(self, transition_solves):
         # beta_hi <= 0.6: one probe beta at beta_hi / 2, the periodic row there
         # too, and beta_hi is solved once
@@ -566,7 +579,7 @@ class TestVerificationTable:
         # solves make no direct pass.  Summed directly, those two solves took
         # 31 of the table's 116 passes in A and 29 of 143 in B
         exponents = []
-        spectral._floor_and_boundary.cache_clear()  # every solve shows its passes
+        clear_solve_memos()  # every solve shows its passes
         real = series._direct
         monkeypatch.setattr(series, "_direct", lambda s, W, paired:
                             exponents.append(s) or real(s, W, paired))

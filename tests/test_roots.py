@@ -23,6 +23,8 @@ from butterflyshift.spectral import (
 )
 from butterflyshift.series import sigma3, tail_sum
 
+from conftest import clear_solve_memos
+
 PARAMS_B = ModelParams(1.0, 0.5, 1.0, 1.0, 1, "B")
 REFERENCE_GRID = [round(0.01 * k, 12) for k in range(121)]
 # a log-uniform draw where P lies within an ulp of the composition boundary
@@ -253,7 +255,7 @@ class TestDerivatives:
             seen.append(F(0.2))
             return newton_log_offset(F, floor, start=start)
 
-        spectral._floor_and_boundary.cache_clear()
+        clear_solve_memos()
         monkeypatch.setattr(critical, "newton_log_offset", spy)
         monkeypatch.setattr(spectral, "newton_log_offset", spy)
         pressure_full(REFERENCE, 0.5)
@@ -315,9 +317,9 @@ class TestWarmStart:
     def test_agrees_with_cold_solves(self, params, grid):
         if grid is None:  # a criterion 7 set: on to 20 % past beta_hi
             grid = [round(0.01 * k, 12) for k in range(int(120 * critical_set(params).beta_hi) + 1)]
-        spectral._floor_and_boundary.cache_clear()
+        clear_solve_memos()
         warm = pressure_curve(params, grid)
-        spectral._floor_and_boundary.cache_clear()
+        clear_solve_memos()
         cold = [pressure_sample(params, beta) for beta in grid]
         assert [s.beta for s in warm] == grid
         for w, c in zip(warm, cold):
@@ -334,9 +336,9 @@ class TestEvaluationCount:
     def counts(self, monkeypatch):
         """Map evaluations of every Newton solve, counted through a wrapper,
         by module: "spectral" solves composition boundaries and "critical"
-        pressures.  The composition-boundary memo starts empty."""
+        pressures.  Every solve memo starts empty."""
         seen = {"spectral": [], "critical": []}
-        spectral._floor_and_boundary.cache_clear()
+        clear_solve_memos()
         for name, module in (("spectral", spectral), ("critical", critical)):
             def counted_solver(F, floor, start=1.0, solves=seen[name]):
                 calls = [0]
