@@ -79,7 +79,7 @@ def wing_params(params: ModelParams) -> ModelParams:
     variant) alone.  Their solves key on, and run on, this set, so that sets
     differing only in alpha or L share them and no solve can read the
     caller's alpha or L.  Cached, so that equal sets map to one object and a
-    memo hit costs two lookups (0.75 us), not a new set (2.8 us).
+    memo hit looks two keys up instead of building a new set.
     """
     return replace(params, alpha=1.0, L=1)
 

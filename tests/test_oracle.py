@@ -543,7 +543,8 @@ class TestVerificationTable:
 
     def test_new_L_solves_no_boundary(self, newton_solves):
         # the composition boundaries read only the wing parameters: after the
-        # L = 1 table, an L = 299 table solves its pressures and none of them
+        # L = 1 table, an L = 299 table solves its three pressures and no
+        # boundary
         solved = verification_table(REFERENCE, build_graph(REFERENCE), 16, 8, 12)
         assert len(newton_solves["spectral"]) == 3
         newton_solves["spectral"].clear()
