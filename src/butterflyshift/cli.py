@@ -219,7 +219,7 @@ def cmd_equilibria(cfg: RunConfig, out, beta_star: float | None) -> int:
     for which in ("at_beta_lo", "at_beta_hi"):
         rep = critical.equilibrium_report(cfg.params, which, beta_star=beta_star)
         cyl = "[32]" if which == "at_beta_lo" else "[1]"
-        rel = ">" if rep.eps_beta > 2 else "<="
+        rel = ">" if rep.return_time_derivative_finite else "<="
         verdict = (f"eps*beta {rel} 2: "
                    + (f"at least {rep.count_lower_bound} equilibrium states; "
                       if rep.count_lower_bound > 1 else "unique equilibrium state; ")

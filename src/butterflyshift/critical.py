@@ -236,8 +236,8 @@ def pressure_curve(params: ModelParams, betas: list[float]) -> list[PressureSamp
     pressure_roots: list[tuple[float, float, float]] = []
     boundary_roots: list[tuple[float, float, float]] = []
     for beta in betas:
-        if _regime(crit, beta) != regime:
-            regime = _regime(crit, beta)
+        previous, regime = regime, _regime(crit, beta)
+        if regime != previous:
             pressure_roots, boundary_roots = [], []
         # a call through the module's namespace, so that a wrapper installed
         # on critical.pressure_sample sees each grid point

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import importlib.util
 import io
 import math
 import os
@@ -21,6 +22,8 @@ from butterflyshift.cli import (
 from butterflyshift.model import REFERENCE
 
 CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "reference.cfg")
+REFERENCE_OUTPUTS = os.path.join(os.path.dirname(__file__), "..", "scripts",
+                                 "reference_outputs.py")
 
 
 def run(argv):
@@ -346,3 +349,23 @@ class TestSweep:
             assert code == EXIT_CONFIG, bad
             assert out == ""
             assert repr(bad) in capsys.readouterr().err
+
+
+class TestReferenceRunner:
+    # the invocations that reproduce the transitions, the pressure curves, the
+    # regime sweeps, the equilibrium counts and the oracle table
+    CLAIMS = {"critical_A", "curves_A", "oracle_A", "sweep_delta", "sweep_L",
+              "equilibria_L1", "equilibria_L250"}
+
+    def test_every_invocation_parses(self):
+        spec = importlib.util.spec_from_file_location("reference_outputs", REFERENCE_OUTPUTS)
+        runner = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(runner)
+        assert self.CLAIMS <= set(runner.INVOCATIONS)
+        parser = make_parser()
+        for name, argv in runner.INVOCATIONS.items():
+            try:
+                args = parser.parse_args([argv[0], "--config", runner.CFG, *argv[1:]])
+            except SystemExit:
+                pytest.fail(f"{name}: {argv} does not parse")
+            assert args.command == argv[0], name
