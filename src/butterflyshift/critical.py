@@ -192,7 +192,7 @@ def pressure_sample(params: ModelParams, beta: float, pressure_start: float = 1.
     return PressureSample(
         beta=beta,
         p34=p34,
-        p_mid=zt if zt is not None else p34,
+        p_mid=pressure_mid(params, beta),  # reads the boundary just solved
         # from beta_hi on P = P34: the solve would only confirm the floor
         p_full=(p34 if regime == ABOVE_HI
                 else pressure_full(params, beta, start=pressure_start)),

@@ -92,20 +92,15 @@ class TransitionGraph:
     are derived from it on first use.
     """
 
-    def __init__(self, alphabet: Sequence[str], edges: Iterable[tuple[str, str]] = (),
-                 adjacency: np.ndarray | None = None):
-        """The graph whose allowed edges are those of `adjacency` (a boolean
-        matrix over the alphabet; none if omitted) plus `edges`."""
+    def __init__(self, alphabet: Sequence[str], adjacency: np.ndarray):
+        """The graph whose allowed edges are those of `adjacency`, a boolean
+        matrix over the alphabet."""
         self._alphabet = tuple(alphabet)
         self._index = {s: i for i, s in enumerate(self._alphabet)}
         k = len(self._alphabet)
-        if adjacency is None:
-            adjacency = np.zeros((k, k), dtype=bool)
         self._adj = np.array(adjacency, dtype=bool)
         if self._adj.shape != (k, k):
             raise ValueError(f"adjacency of shape {self._adj.shape} over {k} symbols")
-        for a, b in edges:
-            self._adj[_position(self._index, a, b)] = True
         self._adj.flags.writeable = False
         self._succ: dict[str, tuple[str, ...]] = {}
         self._edges: frozenset[tuple[str, str]] | None = None
@@ -139,14 +134,6 @@ class TransitionGraph:
         return succ
 
 
-def _position(index: dict[str, int], a: str, b: str) -> tuple[int, int]:
-    """Matrix position of the edge (a, b); ValueError if a symbol is unknown."""
-    try:
-        return index[a], index[b]
-    except KeyError:
-        raise ValueError(f"edge ({a!r}, {b!r}) uses a symbol outside the alphabet") from None
-
-
 def alphabet_for(params: ModelParams) -> tuple[str, ...]:
     base = [ONE, TWO, THREE, FOUR]
     if params.variant == "B":
@@ -164,17 +151,15 @@ _MIRRORED_WING_EDGES = ((TWO, THREE_P),
                         (FOUR_P, THREE_P), (FOUR_P, FOUR_P))
 
 
-def build_graph(
-    params: ModelParams,
-    extra_edges: Iterable[tuple[str, str]] = (),
-    drop_edges: Iterable[tuple[str, str]] = (),
-) -> TransitionGraph:
-    """Butterfly graph of the given variant.
+def build_graph(params: ModelParams,
+                extra_edges: Iterable[tuple[str, str]] = ()) -> TransitionGraph:
+    """Butterfly graph of the given variant, plus `extra_edges`.
 
-    `extra_edges` / `drop_edges` exist as test hooks (negative controls that
-    corrupt the edge set on purpose); production callers pass neither.  An
-    extra edge on a symbol outside the alphabet raises ValueError; a dropped
-    edge that is not there is ignored.
+    This is the one place where edge lists become a graph.  `extra_edges` is
+    the CLI's `--corrupt-edge` negative control, the only corruption hook
+    here; production runs pass none.  An extra edge on a symbol outside the
+    alphabet raises ValueError.  Tests build graphs with dropped edges from
+    their own edge-by-edge reference set.
     """
     alphabet = alphabet_for(params)
     index = {s: i for i, s in enumerate(alphabet)}
@@ -188,11 +173,10 @@ def build_graph(
     adj[aux, one] = True
     edges = _BODY_EDGES + (_MIRRORED_WING_EDGES if params.variant == "B" else ())
     for a, b in (*edges, *extra_edges):
-        adj[_position(index, a, b)] = True
-    for a, b in drop_edges:
-        if a in index and b in index:
-            adj[index[a], index[b]] = False
-    return TransitionGraph(alphabet, adjacency=adj)
+        if a not in index or b not in index:
+            raise ValueError(f"edge ({a!r}, {b!r}) uses a symbol outside the alphabet")
+        adj[index[a], index[b]] = True
+    return TransitionGraph(alphabet, adj)
 
 
 def wing_pressure(params: ModelParams, beta: float) -> float:

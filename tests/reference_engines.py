@@ -22,9 +22,11 @@ The literal engine rests on the finite-word machinery kept here as well
 (`Word`, its continuation tags, the per-position potential `phi_at` and the
 Birkhoff weights), and `edge_set` lists the butterfly graph's edges pair by
 pair as the reference for `build_graph`'s block-filled adjacency matrix;
-`is_irreducible` checks that graph's reachability.  `gateaux_check` forms
-the one-sided difference quotients of the variant B pressure above beta_hi,
-from the closed-form wing pressure, for the directional-slope checks.
+`edge_graph` builds the graph of that set, the one source of graphs with
+dropped edges, and `is_irreducible` checks that graph's reachability.
+`gateaux_check` forms the one-sided difference quotients of the variant B
+pressure above beta_hi, from the closed-form wing pressure, for the
+directional-slope checks.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ from butterflyshift.model import (
     THREE_P,
     TransitionGraph,
     TWO,
+    alphabet_for,
     aux_symbol,
     is_aux,
     is_one_family,
@@ -97,6 +100,21 @@ def edge_set(params: ModelParams, extra_edges=(), drop_edges=()) -> frozenset[tu
     edges.update(extra_edges)
     edges.difference_update(drop_edges)
     return frozenset(edges)
+
+
+def edge_graph(params: ModelParams, drop_edges) -> TransitionGraph:
+    """The graph of `edge_set` less `drop_edges`, its adjacency matrix set one
+    edge at a time.
+
+    The negative controls that drop an edge read this graph: `build_graph`
+    only adds edges, and this one shares nothing with its block fill.
+    """
+    alphabet = alphabet_for(params)
+    index = {s: i for i, s in enumerate(alphabet)}
+    adj = np.zeros((len(alphabet), len(alphabet)), dtype=bool)
+    for a, b in edge_set(params, drop_edges=drop_edges):
+        adj[index[a], index[b]] = True
+    return TransitionGraph(alphabet, adj)
 
 
 def is_irreducible(graph: TransitionGraph) -> bool:

@@ -233,6 +233,19 @@ class TestCurves:
         svg = (tmp_path / "curves.svg").read_text()
         assert svg.startswith("<svg") and "polyline" in svg and "beta_lo" in svg
 
+    def test_svg_from_config_file(self, tmp_path, capsys):
+        out_path = tmp_path / "curves.csv"
+        cfg = tmp_path / "svg.cfg"
+        cfg.write_text("beta_stop = 1.1\nbeta_step = 0.1\nsvg = yes\n")
+        code, _ = run(["curves", "--config", str(cfg), "--out", str(out_path)])
+        assert code == EXIT_OK
+        assert (tmp_path / "curves.svg").read_text().startswith("<svg")
+        capsys.readouterr()
+        cfg.write_text("svg = maybe\n")
+        code, _ = run(["curves", "--config", str(cfg), "--out", str(out_path)])
+        assert code == EXIT_CONFIG
+        assert "not a boolean" in capsys.readouterr().err
+
 
 class TestEquilibria:
     def test_reference_verdicts(self):

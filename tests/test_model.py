@@ -12,6 +12,7 @@ from butterflyshift.model import (
     REFERENCE,
     THREE,
     TWO,
+    TransitionGraph,
     alphabet_for,
     aux_symbol,
     build_graph,
@@ -30,6 +31,7 @@ from reference_engines import (
     birkhoff_sum,
     birkhoff_weight,
     continuation_consistent,
+    edge_graph,
     edge_set,
     is_admissible,
     is_irreducible,
@@ -83,7 +85,7 @@ class TestGraph:
     def test_corrupted_graph_hook(self, params):
         g = build_graph(params, extra_edges=[("4", TWO)])
         assert g.allowed("4", TWO)
-        g2 = build_graph(params, drop_edges=[(THREE, THREE)])
+        g2 = edge_graph(params, drop_edges=[(THREE, THREE)])
         assert not g2.allowed(THREE, THREE)
 
     def test_is_admissible_examples(self, graph):
@@ -122,9 +124,15 @@ class TestAdjacencyMatchesEdgeSet:
     def test_same_graph(self, L, variant, name):
         params = ModelParams(1.0, 0.5, 1.0, 1.0, L, variant)
         extra, drop = self.corruption(name, L)
-        graph = build_graph(params, extra_edges=extra, drop_edges=drop)
+        graph = build_graph(params, extra_edges=extra)
         edges = edge_set(params, extra, drop)
         alphabet = alphabet_for(params)
+        if drop:
+            # a hole in the block fill: the views of an adjacency no build makes
+            adj = graph.adjacency.copy()
+            for a, b in drop:
+                adj[alphabet.index(a), alphabet.index(b)] = False
+            graph = TransitionGraph(alphabet, adj)
         assert graph.alphabet == alphabet
         assert graph.edges == edges
         for s in alphabet:
@@ -138,6 +146,13 @@ class TestAdjacencyMatchesEdgeSet:
         for edge in (("5", TWO), (TWO, aux_symbol(2))):
             with pytest.raises(ValueError, match="outside the alphabet"):
                 build_graph(params, extra_edges=[edge])
+
+    def test_adjacency_of_wrong_shape_raises(self):
+        for adj in (np.ones((3, 3)), np.ones((2, 3)), np.ones(4), np.ones((2, 2, 1))):
+            with pytest.raises(ValueError, match="over 2 symbols"):
+                TransitionGraph((THREE, "4"), adj)
+        assert TransitionGraph((THREE, "4"), np.ones((2, 2))).edges == {
+            (THREE, THREE), (THREE, "4"), ("4", THREE), ("4", "4")}
 
 
 class TestPotential:
