@@ -75,11 +75,14 @@ def _certified(name: str, analytic: float, partial: float, tail: float) -> Check
 
     All weights are positive, so 0 <= gap <= tail whenever the analytic
     formula and the graph agree.  The rounding slack shrinks with the
-    analytic value below 1, so a tiny value still has to be matched.
+    analytic value below 1, so a tiny value still has to be matched.  An
+    infinite tail (no probe gave a finite lambda) certifies nothing: the row
+    fails.
     """
     gap = analytic - partial
     slack = CONSISTENCY_SLACK * min(1.0, abs(analytic))
-    return Check(name, analytic, partial, gap, tail, -slack <= gap <= tail + slack)
+    ok = math.isfinite(tail) and -slack <= gap <= tail + slack
+    return Check(name, analytic, partial, gap, tail, ok)
 
 
 # ---------------------------------------------------------------------------
@@ -210,29 +213,44 @@ def _saturating_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _renewal_tail_bound(lam_fn, params: ModelParams, beta: float, Z: float,
-                        N: int, z_floor: float) -> float:
+                        N: int, z_floor: float, lam_at_Z: float) -> float:
     """Bound on the mass of return words longer than N.
 
     For any Z' between the convergence abscissa and Z the per-length masses
     satisfy R_t <= lam(Z') e^(t Z'), giving the geometric bound
     lam(Z') e^{-(N+1)(Z-Z')} / (1 - e^{-(Z-Z')}); the minimum over a few
     probe points is still a valid certificate.
+
+    A probe is evaluated only where it can lower the bound.  Every term of
+    lambda_[1] and lambda_[32] has a positive coefficient and a factor e^(-nZ)
+    with n >= 1, so lam(Z') >= lam(Z) = `lam_at_Z` for Z' < Z.  A probe whose
+    bound with lam(Z) in place of lam(Z') already reaches the best so far
+    therefore cannot give a smaller one, and it is skipped.  The test rounds
+    through the probe's own expression, which is monotone in lam, so wherever
+    the computed lam(Z') >= lam(Z) the minimum is the same float as over all
+    three probes.
     """
     best = math.inf
     for frac in (0.25, 0.5, 0.75):
         z_probe = z_floor + frac * (Z - z_floor)
-        lam = lam_fn(params, beta, z_probe)
-        if not math.isfinite(lam.value):
-            continue
         dz = Z - z_probe
-        best = min(best, lam.value * math.exp(-(N + 1) * dz) / (1.0 - math.exp(-dz)))
+        decay, spread = math.exp(-(N + 1) * dz), 1.0 - math.exp(-dz)
+        if lam_at_Z * decay / spread >= best:
+            continue
+        lam = lam_fn(params, beta, z_probe).value
+        if math.isfinite(lam):
+            best = min(best, lam * decay / spread)
     return best
 
 
 def _compare_returns(params: ModelParams, beta: float, Z: float, N: int,
                      graph: TransitionGraph | None, target: str) -> Check:
     """The dp walk's first-return mass to [1] or [32] against the analytic
-    lambda, above that lambda's convergence abscissa."""
+    lambda, above that lambda's convergence abscissa.
+
+    The row's own lambda(Z) is handed to the tail bound, which skips every
+    probe that this lower bound of lambda(Z') shows cannot tighten it: on the
+    reference table that leaves one probe, two lambda evaluations per row."""
     if graph is None:
         graph = build_graph(params)
     if target == ONE:
@@ -247,7 +265,7 @@ def _compare_returns(params: ModelParams, beta: float, Z: float, N: int,
     lam = lam_fn(params, beta, Z)
     if not lam.defined:
         raise ValueError(f"lambda_{cyl} undefined at the requested point")
-    tail = _renewal_tail_bound(lam_fn, params, beta, Z, N, z_floor)
+    tail = _renewal_tail_bound(lam_fn, params, beta, Z, N, z_floor, lam.value)
     return _certified(f"returns_to_{cyl} beta={beta:g}", lam.value, math.fsum(per_tau), tail)
 
 

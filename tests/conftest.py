@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from butterflyshift import critical, roots, spectral
+from butterflyshift import critical, oracle, roots, spectral
 from butterflyshift.model import ModelParams, ONE, REFERENCE, TWO, build_graph
 
 from reference_engines import ALL_TWOS, INTO_ONE, INTO_THREE_TWO, STAY_IN_WING, Word
@@ -78,6 +78,19 @@ def newton_solves(monkeypatch):
             return roots.newton_log_offset(F, floor, start=start)
         monkeypatch.setattr(module, "newton_log_offset", counted)
     return floors
+
+
+@pytest.fixture
+def lambda_evaluations(monkeypatch):
+    """The Z of every lambda_1 and lambda_32 evaluation the oracle module
+    makes from here on, by cylinder: "1" and "32"."""
+    points = {"1": [], "32": []}
+    for cyl, name in (("1", "_lambda_1"), ("32", "_lambda_32")):
+        def counted(params, beta, Z, *args, real=getattr(oracle, name), seen=points[cyl]):
+            seen.append(Z)
+            return real(params, beta, Z, *args)
+        monkeypatch.setattr(oracle, name, counted)
+    return points
 
 
 @pytest.fixture

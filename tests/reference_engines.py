@@ -12,8 +12,10 @@ route that is slower or shares less with the fast code:
     formula and exists for deep-horizon confidence only.
   * the dict-keyed return walk: the first-return masses over states
     (kind, run length) kept in a dict, the reference for the array walk of
-    `oracle._return_walk`; and the wing-word weights of `check_Ln` built by
-    concatenation, the reference for its in-place buffer.
+    `oracle._return_walk`; the renewal tail bound with lambda evaluated at
+    every probe, the reference for the pruned `oracle._renewal_tail_bound`;
+    and the wing-word weights of `check_Ln` built by concatenation, the
+    reference for its in-place buffer.
   * periodic points: depth-first enumeration of every admissible cyclic
     n-tuple, each weighted from its own wrapped run lengths, as the reference
     for the transfer-matrix trace; and that trace again in mpmath arithmetic.
@@ -327,7 +329,8 @@ def return_words_to_32(graph: TransitionGraph, params: ModelParams, beta: float,
 
 
 # ---------------------------------------------------------------------------
-# the dict-keyed return walk and the concatenated wing-word weights
+# the dict-keyed return walk, the all-probe tail bound and the concatenated
+# wing-word weights
 
 def dict_return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
                       Z: float, N: int, target: str) -> list[float]:
@@ -410,6 +413,23 @@ def dict_return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
                     out[tau] += v * finalize
         cur = nxt
     return out
+
+
+def exhaustive_renewal_tail_bound(lam_fn, params: ModelParams, beta: float, Z: float,
+                                  N: int, z_floor: float) -> float:
+    """The renewal tail bound of `oracle._renewal_tail_bound` with lambda
+    evaluated at every one of its three probes: the minimum over all of them
+    of lam(Z') e^{-(N+1)(Z-Z')} / (1 - e^{-(Z-Z')}), +inf where no probe
+    gives a finite lambda.  The reference its pruned loop must equal."""
+    best = math.inf
+    for frac in (0.25, 0.5, 0.75):
+        z_probe = z_floor + frac * (Z - z_floor)
+        lam = lam_fn(params, beta, z_probe)
+        if not math.isfinite(lam.value):
+            continue
+        dz = Z - z_probe
+        best = min(best, lam.value * math.exp(-(N + 1) * dz) / (1.0 - math.exp(-dz)))
+    return best
 
 
 def concatenated_Ln(params: ModelParams, beta: float, n_max: int) -> list[tuple[int, float, float]]:

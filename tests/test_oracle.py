@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from butterflyshift.critical import pressure_full, pressure_mid
-from butterflyshift import oracle, series
+from butterflyshift import oracle, series, spectral
 from butterflyshift.model import (
     ModelParams,
     ONE,
@@ -38,6 +38,7 @@ from reference_engines import (
     concatenated_Ln,
     dict_return_walk,
     edge_graph,
+    exhaustive_renewal_tail_bound,
     mp_periodic_orbit_pressure,
     periodic_point_sums,
     return_words_to_1,
@@ -45,6 +46,7 @@ from reference_engines import (
 )
 
 PARAMS_B = ModelParams(1.0, 0.5, 1.0, 1.0, 1, "B")
+KNOWN_FAULT = ModelParams(3.0, 0.2, 0.5, 3.5, 2)
 
 _log_uniform = st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)
 
@@ -317,6 +319,14 @@ class TestOracleComparisons:
         assert full.gap < 0.0 and full.ok
         assert oracle._certified("returns_to_32 beta=0.25", 0.0, 0.0, 0.0).ok
 
+    def test_infinite_tail_certifies_nothing(self):
+        # no probe gave a finite lambda: any gap >= -slack would pass against
+        # an infinite tail, so the row reads FAIL
+        for gap in (0.0, 0.1, 1e300):
+            row = oracle._certified("returns_to_1 beta=0.5", 0.2, 0.2 - gap, math.inf)
+            assert row.bound == math.inf and not row.ok
+        assert not oracle._certified("returns_to_1 beta=0.5", 0.2, 0.2, math.nan).ok
+
     def test_partial_sums_monotone_and_bounded(self):
         beta, Z = 0.5, pressure_full(REFERENCE, 0.5) + 0.25
         prev = 0.0
@@ -368,6 +378,64 @@ class TestOracleComparisons:
         Z = max(wing_pressure(REFERENCE, beta), abscissa_32(REFERENCE, beta)) + w
         c = enumerate_returns_to_32(REFERENCE, beta, Z, 12)
         assert 0.0 <= c.gap <= c.bound
+
+
+# the sets on which the pruned tail bound is checked against all three
+# probes: reference A and B across L, a huge delta and gamma, the known-fault
+# set and the two sets beside the table's probe-beta switch
+TAIL_SETS = {
+    **{f"{v}-L={L}": ModelParams(1.0, 0.5, 1.0, 1.0, L, v)
+       for v in "AB" for L in (1, 8, 299, 1000)},
+    "delta=1500": ModelParams(1.0, 0.5, 1500.0, 1.0, 1),
+    "gamma=800": ModelParams(1.0, 800.0, 1.0, 1.0, 1),
+    "known-fault": KNOWN_FAULT,
+    "near-switch-above": NEAR_SWITCH_ABOVE,
+    "near-switch-below": NEAR_SWITCH_BELOW,
+}
+
+
+class TestRenewalTailBound:
+    @pytest.mark.parametrize("params", TAIL_SETS.values(), ids=TAIL_SETS.keys())
+    def test_pruned_bound_equals_all_probes(self, params, monkeypatch):
+        # at each return row of the table, and just above the row's
+        # convergence abscissa, skipping the probes that lambda(Z) shows
+        # cannot lower the bound leaves the very float of all three probes
+        rows = []
+        real = oracle._compare_returns
+        monkeypatch.setattr(oracle, "_compare_returns",
+                            lambda *args: rows.append(args) or real(*args))
+        verification_table(params, build_graph(params), 22, 12, 20)
+        assert len(rows) in (2, 4)
+        for _, beta, Z, N, _, target in rows:
+            if target == ONE:
+                lam_fn, z_floor = spectral.lambda_1, spectral.abscissa(params, beta).Z_c
+            else:
+                lam_fn, z_floor = spectral.lambda_32, abscissa_32(params, beta)
+            scale = max(1.0, abs(z_floor))
+            for z in (Z, z_floor + 1e-3 * scale, z_floor + 1e-9 * scale):
+                lam = lam_fn(params, beta, z).value
+                pruned = oracle._renewal_tail_bound(lam_fn, params, beta, z, N, z_floor, lam)
+                exhaustive = exhaustive_renewal_tail_bound(lam_fn, params, beta, z, N, z_floor)
+                assert pruned == exhaustive, (target, beta, z - z_floor)
+
+    @pytest.mark.parametrize("params", [REFERENCE, PARAMS_B], ids=["A", "B"])
+    def test_each_return_row_evaluates_lambda_twice(self, params, lambda_evaluations,
+                                                    monkeypatch):
+        # the row's own lambda(Z) and the first probe: it lowers the bound
+        # below lambda(Z) times either later probe's geometric factor, so
+        # neither is evaluated
+        per_row = []
+        real = oracle._compare_returns
+
+        def counted(*args):
+            before = sum(map(len, lambda_evaluations.values()))
+            row = real(*args)
+            per_row.append(sum(map(len, lambda_evaluations.values())) - before)
+            return row
+
+        monkeypatch.setattr(oracle, "_compare_returns", counted)
+        verification_table(params, build_graph(params), 22, 12, 20)
+        assert per_row == [2, 2, 2, 2]
 
 
 class TestIncidenceEntropy:
@@ -485,16 +553,17 @@ REFERENCE_ROWS = ([f"L_n n={n}" for n in range(2, 21)]
                      "entropy vs P(0)", "entropy vs P_mid(0)", "periodic orbits beta=0.5"])
 
 
-# (analytic, oracle) of the reference table's named rows: they pin the probe
-# betas, the Z offsets and the horizons of each row
+# (analytic, oracle, bound) of the reference table's named rows: they pin
+# the probe betas, the Z offsets and the horizons of each row, and the
+# renewal tail bound of each return row
 REFERENCE_VALUES = {
-    "returns_to_1 beta=0.25": (0.397857984697116, 0.397567331954415),
-    "returns_to_32 beta=0.25": (0.177082177591691, 0.176770434195023),
-    "returns_to_1 beta=0.5": (0.203754749998175, 0.203722714880305),
-    "returns_to_32 beta=0.5": (0.0627371763217946, 0.062679517075179),
-    "entropy vs P(0)": (1.00505253874238, 1.00505253874235),
-    "entropy vs P_mid(0)": (0.881373587019543, 0.881373587019524),
-    "periodic orbits beta=0.5": (1.22899938739848, 1.23153981594217),
+    "returns_to_1 beta=0.25": (0.397857984697116, 0.397567331954415, 0.0992020185896397),
+    "returns_to_32 beta=0.25": (0.177082177591691, 0.176770434195023, 0.0316107539911124),
+    "returns_to_1 beta=0.5": (0.203754749998175, 0.203722714880305, 0.0585625033196854),
+    "returns_to_32 beta=0.5": (0.0627371763217946, 0.062679517075179, 0.00860516995082266),
+    "entropy vs P(0)": (1.00505253874238, 1.00505253874235, 1e-8),
+    "entropy vs P_mid(0)": (0.881373587019543, 0.881373587019524, 1e-8),
+    "periodic orbits beta=0.5": (1.22899938739848, 1.23153981594217, 0.02),
 }
 
 
@@ -507,9 +576,10 @@ class TestVerificationTable:
             assert r.gap == r.analytic - r.oracle
             assert abs(r.gap) <= r.bound
             if r.name in REFERENCE_VALUES:
-                analytic, oracle = REFERENCE_VALUES[r.name]
+                analytic, oracle, bound = REFERENCE_VALUES[r.name]
                 assert_close(r.analytic, analytic, 1e-14 * analytic, r.name)
                 assert_close(r.oracle, oracle, 1e-14 * oracle, r.name)
+                assert_close(r.bound, bound, 1e-14 * bound, r.name)
 
     def test_negative_control_fails_every_certified_row(self):
         graph = build_graph(REFERENCE, extra_edges=[("4", "2")])
