@@ -2,9 +2,11 @@
 
 The systems are one-sided subshifts on the alphabet {1, 2, 3, 4, 1_1..1_L}
 (variant A) or the same plus the mirrored wing symbols {3', 4'} (variant B).
-A transition graph is a boolean adjacency matrix over that alphabet.  The
-potential is a grid function: it depends on the head symbol and on the length
-of the homogeneous run the head symbol sits in.
+A transition graph is a boolean adjacency matrix over classes of twin
+symbols, each class with its number of symbols; the auxiliaries that no edge
+tells apart form one class.  The potential is a grid function: it depends on
+the head symbol and on the length of the homogeneous run the head symbol
+sits in.
 """
 
 from __future__ import annotations
@@ -85,23 +87,23 @@ def wing_params(params: ModelParams) -> ModelParams:
 
 
 class TransitionGraph:
-    """Directed graph of allowed one-step transitions on the full alphabet.
+    """Directed graph of allowed one-step transitions between classes of twin
+    symbols: a boolean adjacency matrix over the class names, rows indexed by
+    the source, and `multiplicity[j]` symbols in class j (default 1 each).
+    Each symbol of class i steps to each of class j where adjacency[i, j] is
+    set.  Successor tuples and the edge set over the class names are derived
+    from it on first use."""
 
-    The graph is a boolean adjacency matrix over the alphabet, rows indexed by
-    the source symbol.  Successor tuples (in alphabet order) and the edge set
-    are derived from it on first use.
-    """
-
-    def __init__(self, alphabet: Sequence[str], adjacency: np.ndarray):
-        """The graph whose allowed edges are those of `adjacency`, a boolean
-        matrix over the alphabet."""
+    def __init__(self, alphabet: Sequence[str], adjacency: np.ndarray,
+                 multiplicity: Sequence[int] | None = None):
         self._alphabet = tuple(alphabet)
         self._index = {s: i for i, s in enumerate(self._alphabet)}
         k = len(self._alphabet)
         self._adj = np.array(adjacency, dtype=bool)
-        if self._adj.shape != (k, k):
-            raise ValueError(f"adjacency of shape {self._adj.shape} over {k} symbols")
-        self._adj.flags.writeable = False
+        self._mult = np.array([1] * k if multiplicity is None else multiplicity, dtype=int)
+        if self._adj.shape != (k, k) or self._mult.shape != (k,) or (self._mult < 1).any():
+            raise ValueError(f"adjacency {self._adj.shape} or multiplicity over {k} symbols")
+        self._adj.flags.writeable = self._mult.flags.writeable = False
         self._succ: dict[str, tuple[str, ...]] = {}
         self._edges: frozenset[tuple[str, str]] | None = None
 
@@ -113,6 +115,10 @@ class TransitionGraph:
     def adjacency(self) -> np.ndarray:
         """The read-only boolean adjacency matrix, in alphabet order."""
         return self._adj
+
+    @property
+    def multiplicity(self) -> np.ndarray:
+        return self._mult
 
     @property
     def edges(self) -> frozenset[tuple[str, str]]:
@@ -134,11 +140,13 @@ class TransitionGraph:
         return succ
 
 
-def alphabet_for(params: ModelParams) -> tuple[str, ...]:
-    base = [ONE, TWO, THREE, FOUR]
-    if params.variant == "B":
-        base += [THREE_P, FOUR_P]
-    return tuple(base + [aux_symbol(i) for i in range(1, params.L + 1)])
+_BODY = {"A": (ONE, TWO, THREE, FOUR), "B": (ONE, TWO, THREE, FOUR, THREE_P, FOUR_P)}
+
+
+def _aux_number(params: ModelParams, sym: str) -> int:
+    """i for the auxiliary 1_i of the alphabet, else 0."""
+    i = int(sym[2:]) if is_aux(sym) and sym[2:].isdecimal() else 0
+    return i if sym == aux_symbol(i) and i <= params.L else 0
 
 
 # the body and the unprimed wing, and the mirrored wing of variant B
@@ -153,7 +161,11 @@ _MIRRORED_WING_EDGES = ((TWO, THREE_P),
 
 def build_graph(params: ModelParams,
                 extra_edges: Iterable[tuple[str, str]] = ()) -> TransitionGraph:
-    """Butterfly graph of the given variant, plus `extra_edges`.
+    """Butterfly graph of the given variant, plus `extra_edges`, by classes:
+    each symbol but the auxiliaries, each auxiliary an extra edge names, and
+    one class of the other auxiliaries (twins), named by its first member.
+    That is at most 7 + k classes for k named auxiliaries, whatever L is: an
+    equitable partition, with the full graph's Perron root and closed walks.
 
     This is the one place where edge lists become a graph.  `extra_edges` is
     the CLI's `--corrupt-edge` negative control, the only corruption hook
@@ -161,22 +173,27 @@ def build_graph(params: ModelParams,
     alphabet raises ValueError.  Tests build graphs with dropped edges from
     their own edge-by-edge reference set.
     """
-    alphabet = alphabet_for(params)
+    extra_edges = tuple(extra_edges)
+    named = sorted({_aux_number(params, s) for e in extra_edges for s in e} - {0})
+    twins = params.L - len(named)
+    first = next((i for i in range(1, params.L + 1) if i not in named), 0)
+    aux = sorted(named + [first] * (twins > 0))
+    body = _BODY[params.variant]
+    alphabet = body + tuple(map(aux_symbol, aux))
+    multiplicity = [1] * len(body) + [twins if i == first else 1 for i in aux]
     index = {s: i for i, s in enumerate(alphabet)}
     k = len(alphabet)
     adj = np.zeros((k, k), dtype=bool)
-    # head: 1 and the auxiliaries (the last L symbols) form a full shift on
+    # head: 1 and the auxiliaries (the last classes) form a full shift on
     # L+1 symbols, but only 1 opens the door to the body
-    one, aux = index[ONE], slice(k - params.L, k)
-    adj[aux, aux] = True
-    adj[one, aux] = True
-    adj[aux, one] = True
+    one, head = index[ONE], slice(len(body), k)
+    adj[head, head] = adj[one, head] = adj[head, one] = True
     edges = _BODY_EDGES + (_MIRRORED_WING_EDGES if params.variant == "B" else ())
     for a, b in (*edges, *extra_edges):
         if a not in index or b not in index:
             raise ValueError(f"edge ({a!r}, {b!r}) uses a symbol outside the alphabet")
         adj[index[a], index[b]] = True
-    return TransitionGraph(alphabet, adj)
+    return TransitionGraph(alphabet, adj, multiplicity)
 
 
 def wing_pressure(params: ModelParams, beta: float) -> float:

@@ -2,17 +2,19 @@
 `verification_table`: every check of the `oracle` command, with its probe
 points, horizons and tolerances; the command only prints its records.
 
-Return-word enumeration runs on one engine, "dp": a walk over the transition
-graph with weight-equivalent paths aggregated by (symbol kind, current run
-length).  Its transfer matrix on those states is filled edge-by-edge from
-the graph, so a corrupted edge set changes its output, and each step is one
-matrix-vector product; it is exact, and the acceptance suite and the
-`oracle` command run it.  The test suite keeps the rawer reference
-engines it is checked against (literal word enumeration, run-length
-convolution, depth-first periodic-point enumeration).
+Every engine reads every edge of the graph's classes of twin symbols, so no
+cost grows with L.  Return-word enumeration runs on one engine, "dp": a walk
+over the transition graph with weight-equivalent paths aggregated by (symbol
+kind, current run length).  Its transfer matrix on those states is filled
+edge-by-edge from the graph, so a corrupted edge set changes its output, and
+each step is one matrix-vector product; it is exact, and the acceptance
+suite and the `oracle` command run it.  The test suite keeps the rawer
+reference engines it is checked against, on the full alphabet (literal word
+enumeration, run-length convolution, depth-first periodic-point enumeration).
 
-Plus wing-block counting against the closed form, incidence-matrix entropy,
-and periodic-orbit pressure as the trace of a run-length transfer matrix.
+Plus wing-block counting against the closed form, the entropy of the class
+count matrix, and periodic-orbit pressure as the trace of a run-length
+transfer matrix.
 """
 
 from __future__ import annotations
@@ -42,12 +44,11 @@ from .spectral import abscissa, lambda_1 as _lambda_1, lambda_32 as _lambda_32
 RAW_HORIZON_CAP = 30
 RETURN_32_HORIZON = 20  # the table's [32] rows enumerate at most this many steps
 LN_CAP = 20
-# the periodic-orbit transfer matrix has n * |alphabet| states (auxiliaries
-# lumped into one): n <= 14 keeps it under 100 states in variant B.  The cap
-# also bounds the accepted n_period range (3..14).
+# the periodic-orbit transfer matrix has n states per class of the graph, and
+# a clean graph has at most 7 classes (variant B, its auxiliaries one class):
+# n <= 14 keeps it under 100 states.  The cap also bounds the accepted
+# n_period range (3..14).
 PERIOD_CAP = 14
-POWER_TOL = 1e-12
-POWER_MAX_ITER = 20000
 
 # tolerances of the verification table: the slack around a certified gap,
 # the relative L_n check, the entropy identities and the periodic-orbit row
@@ -94,21 +95,23 @@ def _return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
 
     The walk's states are (row, run length): one row for the 2-runs and one
     for the runs on each wing symbol of the alphabet, run lengths 1..N, plus
-    one state for the auxiliary symbols.  The stored mass carries the weight
-    the paths would have if their current run closed right here, so each
-    edge multiplies by an exact incremental potential factor.  Those factors
-    fill one transfer matrix T, built once per walk from the graph's edges;
-    each step is then mass <- T mass, and out[tau] is one dot product of the
-    mass with a read-out vector.  Below the convergence abscissa the masses
-    can overflow: they read +inf, never NaN.  The 2-runs and the wing runs
-    step alike for both targets.  A wing step factor is a single exponential,
-    e^(gamma*beta-Z) onto a 3 and e^((gamma+delta)*beta-Z) onto a 4, which
-    stays in range where e^((gamma+delta)*beta) alone would overflow.  A run
-    at step tau is at most tau - 1 long, so no mass outgrows the N lengths.
+    one state for each auxiliary class of the graph.  The stored mass carries
+    the weight the paths would have if their current run closed right here,
+    so each edge multiplies by an exact incremental potential factor.  Those
+    factors fill one transfer matrix T, built once per walk from the graph's
+    edges; each step is then mass <- T mass, and out[tau] is one dot product
+    of the mass with a read-out vector.  Below the convergence abscissa the
+    masses can overflow: they read +inf, never NaN.  The 2-runs and the wing
+    runs step alike for both targets.  A wing step factor is a single
+    exponential, e^(gamma*beta-Z) onto a 3 and e^((gamma+delta)*beta-Z) onto a
+    4, which stays in range where e^((gamma+delta)*beta) alone would overflow.
+    No run outgrows the N lengths: at step tau it is at most tau - 1 long.  An
+    edge from a wing into the 1-family or the other wing is not read.
 
     [1]: the walk leaves 1 and returns on a step from an auxiliary or a 2
-    into 1; the auxiliary symbols share one state, stepped through the first
-    of them.
+    into 1.  A step from 1, an auxiliary or a 2-run onto an auxiliary class j
+    multiplies by multiplicity[j] e^(-alpha*beta-Z), and one from 1 or an
+    auxiliary onto a 2 or a wing starts a run there.
 
     [32]: the walk starts on the head 3,2 and stays off the 1-family.  A path
     that steps onto an unprimed 3 is one admissible step away from the
@@ -128,54 +131,56 @@ def _return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
     m = np.arange(1.0, N + 1.0)           # the run lengths 1..N
     n = m[:-1]                            # the run length a growing run steps from
     syms = [TWO] + [w for w in (THREE, FOUR, THREE_P, FOUR_P) if w in graph.alphabet]
-    row = {s: i for i, s in enumerate(syms)}
-    aux_state = len(syms) * N             # a run of s of length m is row[s] * N + m - 1
-    T = np.zeros((aux_state + 1, aux_state + 1))
-    mass = np.zeros(aux_state + 1)
-    read = np.zeros(aux_state + 1)        # out[tau] = read . mass
+    auxes = [a for a in graph.alphabet if is_aux(a)] if target == ONE else []
+    # a run of s of length m is state[s] + m - 1; an auxiliary class is one state
+    state = {s: i * N for i, s in enumerate(syms)}
+    state.update((a, len(syms) * N + i) for i, a in enumerate(auxes))
+    T = np.zeros((len(syms) * N + len(auxes),) * 2)
+    mass, read = np.zeros((2, len(T)))    # out[tau] = read . mass
+    # the factor of a step onto a 2 or a wing that starts a run there
+    first_run = {TWO: into_two, THREE: into_wing, THREE_P: into_wing,
+                 FOUR: step4 * 2.0 ** (-eb), FOUR_P: step4 * 2.0 ** (-eb)}
 
     def runs(s: str) -> slice:
-        return slice(row[s] * N, (row[s] + 1) * N)
+        return slice(state[s], state[s] + N)
 
     def grow(s: str, t: str, factor: np.ndarray) -> None:
         # a run of s of length m steps onto t at length m + 1
         i = np.arange(N - 1)
-        T[row[t] * N + i + 1, row[s] * N + i] += factor
+        T[state[t] + i + 1, state[s] + i] += factor
+
+    def enter(col: np.ndarray, b: str, scale: float = 1.0) -> None:
+        # paths of weight `scale`, their run closed, step onto b (not onto 1)
+        if b in first_run:
+            col[state[b]] += scale * first_run[b]
+        elif b in state:
+            col[state[b]] += scale * graph.multiplicity[graph.alphabet.index(b)] * w_one * eZ
 
     out = [0.0] * (N + 1)
     if target == ONE:
         start = w_one * eZ
-        if graph.allowed(ONE, ONE):
-            out[1] += start
-        aux_cols = np.fromiter(map(is_aux, graph.alphabet), bool, len(graph.alphabet))
-        n_aux = int(graph.adjacency[graph.alphabet.index(ONE), aux_cols].sum())
-        if aux_cols.any():
-            aux = int(aux_cols.argmax())
-            n_a = int(graph.adjacency[aux, aux_cols].sum())
-            T[aux_state, aux_state] = n_a * w_one * eZ
-            read[aux_state] = graph.allowed(graph.alphabet[aux], ONE)
-        mass[aux_state] = start * n_aux * w_one * eZ
-        if graph.allowed(ONE, TWO):
-            mass[0] = start * into_two
+        out[1] = start * graph.allowed(ONE, ONE)
+        for a in (ONE, *auxes):
+            # the steps out of the first 1 make the mass at tau = 2
+            col, scale = (mass, start) if a == ONE else (T[:, state[a]], 1.0)
+            for b in graph.successors(a):
+                enter(col, b, scale)
+        read[[state[a] for a in auxes]] = [graph.allowed(a, ONE) for a in auxes]
         read[runs(TWO)] = graph.allowed(TWO, ONE)
     elif graph.allowed(THREE, TWO):  # no auxiliary state is ever entered
         mass[0] = into_wing * into_two
     blocked = THREE if target == THREE else None
-    if graph.allowed(TWO, TWO):
-        grow(TWO, TWO, ((n + 2.0) / (n + 1.0)) ** (-beta) * eZ)
-    for w in (THREE, THREE_P):
-        if graph.allowed(TWO, w):
-            T[row[w] * N, runs(TWO)] = into_wing
+    two_grows = ((n + 2.0) / (n + 1.0)) ** (-beta) * eZ
     wing_grows = ((n + 1.0) / (n + 2.0)) ** eb
-    for sym in syms[1:]:
+    for sym in syms:
         lo, hi = (THREE, FOUR) if sym in (THREE, FOUR) else (THREE_P, FOUR_P)
-        for tgt in graph.successors(sym):
-            if tgt == lo:
-                grow(sym, lo, step3 * wing_grows)
-            elif tgt == hi:
-                grow(sym, hi, step4 * wing_grows)
-            elif tgt == TWO and sym != blocked:
-                T[0, runs(sym)] += into_two
+        for b in graph.successors(sym):
+            if sym == TWO == b:
+                grow(TWO, TWO, two_grows)
+            elif sym != TWO and b in (lo, hi):
+                grow(sym, b, (step3 if b == lo else step4) * wing_grows)
+            elif sym == TWO or (b == TWO and sym != blocked):
+                enter(T[:, runs(sym)], b)  # the run closes onto b
     if target == THREE:
         # a step onto an unprimed 3 finalizes, from a wing run of length m
         finalize = (2.0 * (m + 1.0) / (m + 2.0)) ** eb
@@ -228,14 +233,14 @@ def _renewal_tail_bound(lam_fn, params: ModelParams, beta: float, Z: float,
     therefore cannot give a smaller one, and it is skipped.  The test rounds
     through the probe's own expression, which is monotone in lam, so wherever
     the computed lam(Z') >= lam(Z) the minimum is the same float as over all
-    three probes.
+    three probes.  A probe that rounds onto Z gives no bound and is skipped.
     """
     best = math.inf
     for frac in (0.25, 0.5, 0.75):
         z_probe = z_floor + frac * (Z - z_floor)
         dz = Z - z_probe
         decay, spread = math.exp(-(N + 1) * dz), 1.0 - math.exp(-dz)
-        if lam_at_Z * decay / spread >= best:
+        if spread == 0.0 or lam_at_Z * decay / spread >= best:
             continue
         lam = lam_fn(params, beta, z_probe).value
         if math.isfinite(lam):
@@ -328,33 +333,19 @@ def check_Ln(params: ModelParams, beta: float, n_max: int) -> list[tuple[int, fl
 
 
 def incidence_matrix(graph: TransitionGraph, restrict_to=None) -> np.ndarray:
-    """The 0/1 adjacency matrix (as floats), on the symbols of `restrict_to`
-    if given, in alphabet order."""
-    keep = None if restrict_to is None else set(restrict_to)
-    sel = [i for i, s in enumerate(graph.alphabet) if keep is None or s in keep]
-    return graph.adjacency[np.ix_(sel, sel)].astype(float)
+    """The count matrix adjacency * multiplicity (as floats): (i, j) counts the
+    symbols of class j a symbol of class i steps to.  On the classes of
+    `restrict_to` if given, in alphabet order."""
+    sel = [i for i, s in enumerate(graph.alphabet) if restrict_to is None or s in restrict_to]
+    return graph.adjacency[np.ix_(sel, sel)] * graph.multiplicity[sel].astype(float)
 
 
 def incidence_entropy(graph: TransitionGraph, restrict_to=None) -> float:
-    """log of the spectral radius of the 0/1 incidence matrix, by power iteration.
-
-    Each step makes one matrix-vector product: M v, which gives the Rayleigh
-    quotient v . M v of the unit vector v, is also the next step's vector.
-    """
-    M = incidence_matrix(graph, restrict_to)
-    w = M @ (np.ones(M.shape[0]) / math.sqrt(M.shape[0]))
-    lam = 0.0
-    for _ in range(POWER_MAX_ITER):
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            return -math.inf
-        v = w / nrm
-        w = M @ v
-        lam_new = float(v @ w)
-        if abs(lam_new - lam) < POWER_TOL * max(1.0, lam_new):
-            return math.log(lam_new)
-        lam = lam_new
-    return math.log(lam)
+    """log of the spectral radius of the count matrix, from its eigenvalues:
+    the twin classes are an equitable partition, so this is the Perron root
+    of the full alphabet's 0/1 incidence matrix."""
+    rho = float(np.abs(np.linalg.eigvals(incidence_matrix(graph, restrict_to))).max())
+    return math.log(rho) if rho > 0.0 else -math.inf
 
 
 def no_one_family(graph: TransitionGraph) -> tuple[str, ...]:
@@ -397,36 +388,27 @@ def periodic_orbit_pressure(params: ModelParams, beta: float, n: int,
     exactly one such walk: the trace equals the sum over points.  Entering a
     state multiplies by exp(beta * (phi(symbol, d) - top)), where top is the
     largest state potential (gamma + delta once a 4 is present), and
-    beta * top is added back to the logarithm, so no weight overflows; the
-    weight-identical auxiliary symbols are lumped into one state of
-    multiplicity L.
+    beta * top is added back to the logarithm, so no weight overflows.  The
+    states of a class of twins (same steps, same potential) are entered with
+    its multiplicity as a factor.
     """
     if n > PERIOD_CAP:
         raise ValueError(f"periodic_orbit_pressure capped at n={PERIOD_CAP}")
     if graph is None:
         graph = build_graph(params)
-    rep = [s for s in graph.alphabet if not is_aux(s)]
-    aux = next((s for s in graph.alphabet if is_aux(s)), None)
-    if aux is not None:
-        rep.append(aux)
-    index = {s: i for i, s in enumerate(rep)}
-    k = len(rep)
+    syms, k = graph.alphabet, len(graph.alphabet)
     M = np.zeros((k, n, k, n))
-    for i, a in enumerate(rep):
-        for b in graph.successors(a):
-            j = index.get(b)
-            if j is None:  # an auxiliary lumped into `aux`
-                continue
-            if (a == TWO) == (b == TWO):
-                M[i, 0, j, 0] = 1.0
-                for d in range(2, n):
-                    M[i, d, j, d - 1] = 1.0
-            else:
-                M[i, 1:2, j, 1:] = 1.0  # a slice: at n = 1 there is no d = 1
-    phi = [[_state_potential(params, s, d) for d in range(n)] for s in rep]
+    for i, j in zip(*np.nonzero(graph.adjacency)):
+        if (syms[i] == TWO) == (syms[j] == TWO):
+            M[i, 0, j, 0] = 1.0
+            for d in range(2, n):
+                M[i, d, j, d - 1] = 1.0
+        else:
+            M[i, 1:2, j, 1:] = 1.0  # a slice: at n = 1 there is no d = 1
+    phi = [[_state_potential(params, s, d) for d in range(n)] for s in syms]
     top = max(map(max, phi))
-    weight = np.array([[(params.L if s == aux else 1.0) * math.exp(beta * (p - top))
-                        for p in row] for s, row in zip(rep, phi)])
+    weight = np.array([[c * math.exp(beta * (p - top)) for p in row]
+                       for c, row in zip(graph.multiplicity.tolist(), phi)])
     M *= weight  # over the last two axes: the state entered
     M = M.reshape(k * n, k * n)
     return math.log(float(np.trace(np.linalg.matrix_power(M, n)))) / n + beta * top

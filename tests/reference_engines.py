@@ -1,7 +1,10 @@
 """Reference engines the oracle module is tested against.
 
 Each computes a quantity that `butterflyshift.oracle` also computes, by a
-route that is slower or shares less with the fast code:
+route that is slower or shares less with the fast code.  The engines that
+read a graph read the full alphabet's graph (`edge_graph`), every auxiliary
+symbol on its own, and refuse a graph of classes: they do not share the
+classes of twin auxiliaries that the fast code reads, so they check them.
 
   * literal return words: depth-first enumeration of actual words over the
     transition graph, each weighted through the per-position potential
@@ -23,9 +26,11 @@ route that is slower or shares less with the fast code:
 The literal engine rests on the finite-word machinery kept here as well
 (`Word`, its continuation tags, the per-position potential `phi_at` and the
 Birkhoff weights), and `edge_set` lists the butterfly graph's edges pair by
-pair as the reference for `build_graph`'s block-filled adjacency matrix;
-`edge_graph` builds the graph of that set, the one source of graphs with
-dropped edges, and `is_irreducible` checks that graph's reachability.
+pair as the reference for `build_graph`'s class graph, which
+`expanded_graph` expands back to the full alphabet; `edge_graph` builds the
+graph of that set on the full alphabet, the graph every reference engine
+reads and the one source of graphs with dropped edges, and
+`is_irreducible` checks that graph's reachability.
 `gateaux_check` forms the one-sided difference quotients of the variant B
 pressure above beta_hi, from the closed-form wing pressure, for the
 directional-slope checks.
@@ -49,7 +54,6 @@ from butterflyshift.model import (
     THREE_P,
     TransitionGraph,
     TWO,
-    alphabet_for,
     aux_symbol,
     is_aux,
     is_one_family,
@@ -78,6 +82,13 @@ class LookaheadError(ValueError):
 # ---------------------------------------------------------------------------
 # the graph, edge by edge
 
+def alphabet_for(params: ModelParams) -> tuple[str, ...]:
+    """The full alphabet: 1, 2, 3, 4, then 3', 4' in variant B, then the L
+    auxiliaries."""
+    wings = (THREE_P, FOUR_P) if params.variant == "B" else ()
+    return (ONE, TWO, THREE, FOUR, *wings, *(aux_symbol(i) for i in range(1, params.L + 1)))
+
+
 def edge_set(params: ModelParams, extra_edges=(), drop_edges=()) -> frozenset[tuple[str, str]]:
     """The butterfly graph's edges, added one (from, to) pair at a time."""
     auxes = [aux_symbol(i) for i in range(1, params.L + 1)]
@@ -104,19 +115,48 @@ def edge_set(params: ModelParams, extra_edges=(), drop_edges=()) -> frozenset[tu
     return frozenset(edges)
 
 
-def edge_graph(params: ModelParams, drop_edges) -> TransitionGraph:
-    """The graph of `edge_set` less `drop_edges`, its adjacency matrix set one
-    edge at a time.
+def edge_graph(params: ModelParams, extra_edges=(), drop_edges=()) -> TransitionGraph:
+    """The graph of `edge_set` on the full alphabet, one class per symbol, its
+    adjacency matrix set one edge at a time.
 
-    The negative controls that drop an edge read this graph: `build_graph`
-    only adds edges, and this one shares nothing with its block fill.
+    The reference engines read this graph: it shares nothing with
+    `build_graph`'s classes of twin auxiliaries or its block fill, and it is
+    the one source of graphs with dropped edges.
     """
     alphabet = alphabet_for(params)
     index = {s: i for i, s in enumerate(alphabet)}
     adj = np.zeros((len(alphabet), len(alphabet)), dtype=bool)
-    for a, b in edge_set(params, drop_edges=drop_edges):
+    for a, b in edge_set(params, extra_edges, drop_edges):
         adj[index[a], index[b]] = True
     return TransitionGraph(alphabet, adj)
+
+
+def class_members(graph: TransitionGraph, params: ModelParams) -> dict[str, list[str]]:
+    """The symbols of each class of a `build_graph` graph: each class holds
+    the symbol it is named by, and the class of twins (the one class of
+    multiplicity above 1, if any) also every auxiliary that names no class."""
+    unnamed = [s for s in alphabet_for(params) if is_aux(s) and s not in graph.alphabet]
+    return {c: [c] + unnamed * (m > 1)
+            for c, m in zip(graph.alphabet, graph.multiplicity.tolist())}
+
+
+def expanded_graph(graph: TransitionGraph, params: ModelParams) -> TransitionGraph:
+    """The full alphabet's graph of a class graph: every symbol of class i
+    steps to every symbol of class j where the classes are adjacent."""
+    alphabet = alphabet_for(params)
+    index = {s: i for i, s in enumerate(alphabet)}
+    members = {c: [index[s] for s in ss] for c, ss in class_members(graph, params).items()}
+    adj = np.zeros((len(alphabet), len(alphabet)), dtype=bool)
+    for a, b in graph.edges:
+        adj[np.ix_(members[a], members[b])] = True
+    return TransitionGraph(alphabet, adj)
+
+
+def require_full_alphabet(graph: TransitionGraph) -> None:
+    """Raise unless `graph` has one symbol per class: the reference engines
+    enumerate symbols, and a class of twins would count as one."""
+    if (graph.multiplicity != 1).any():
+        raise ValueError("a reference engine needs the full alphabet's graph (edge_graph)")
 
 
 def is_irreducible(graph: TransitionGraph) -> bool:
@@ -279,6 +319,7 @@ def return_words_to_1(graph: TransitionGraph, params: ModelParams, beta: float,
     """Every first-return word to [1] with tau <= N, explicitly, with weights."""
     if N > LITERAL_HORIZON_CAP:
         raise ValueError(f"literal enumeration capped at N={LITERAL_HORIZON_CAP}")
+    require_full_alphabet(graph)
     out: list[ReturnWord] = []
 
     def rec(symbols: list[str]) -> None:
@@ -333,8 +374,9 @@ def return_words_to_32(graph: TransitionGraph, params: ModelParams, beta: float,
 # wing-word weights
 
 def dict_return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
-                      Z: float, N: int, target: str) -> list[float]:
-    """Per-tau first-return mass to [1] (target ONE) or [32] (target THREE).
+                     Z: float, N: int, target: str) -> list[float]:
+    """Per-tau first-return mass to [1] (target ONE) or [32] (target THREE),
+    on the full alphabet's graph.
 
     State = (kind, current run length); the stored mass carries the weight
     the paths would have if their current run closed right here, so each
@@ -342,8 +384,11 @@ def dict_return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
     and the wing runs step alike for both targets.
 
     [1]: the walk leaves 1 and returns on a step from an auxiliary or a 2
-    into 1; the auxiliary symbols share one state, stepped through the first
-    of them.
+    into 1.  Each auxiliary symbol has its own mass, in one vector over the
+    alphabet's auxiliaries, and the masses stepping onto an auxiliary or into
+    1 from the auxiliaries are summed edge by edge, correctly rounded.  Every
+    edge out of 1 and out of an auxiliary is read, and a 2-run may close
+    onto an auxiliary.
 
     [32]: the walk starts on the head 3,2 and stays off the 1-family.  A path
     standing on an unprimed 3 is one admissible step away from the re-entry
@@ -351,51 +396,69 @@ def dict_return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
     cylinder divided back out); the unprimed 3 -> 2 edge is consumed by that
     return and never continues a path.
     """
+    require_full_alphabet(graph)
     eZ = math.exp(-Z)
     w_one, w3, w4 = (math.exp(-params.alpha * beta), math.exp(params.gamma * beta),
                      math.exp((params.gamma + params.delta) * beta))
     eb = params.epsilon * beta
-    two_to_two = graph.allowed(TWO, TWO)
-    two_to_wings = tuple(w for w in (THREE, THREE_P) if graph.allowed(TWO, w))
+    # the weight of a step from a closed run onto each symbol that starts a run
+    onto = {TWO: 2.0 ** (-beta) * eZ, THREE: w3 * 2.0 ** (-eb) * eZ,
+            THREE_P: w3 * 2.0 ** (-eb) * eZ, FOUR: w4 * 2.0 ** (-eb) * eZ,
+            FOUR_P: w4 * 2.0 ** (-eb) * eZ}
+    index = {s: i for i, s in enumerate(graph.alphabet)}
+    # the auxiliaries, which only the walk to [1] enters
+    auxes = [s for s in graph.alphabet if is_aux(s)] if target == ONE else []
+    aux = {s: j for j, s in enumerate(auxes)}
+    at = [index[s] for s in auxes]
+    # the auxiliaries each auxiliary is entered from, those that step into 1,
+    # and the steps from an auxiliary into the body
+    preds = [np.flatnonzero(graph.adjacency[at, i]) for i in at]
+    into_one = np.flatnonzero(graph.adjacency[at, index[ONE]])
+    aux_to_body = [(j, b) for b in graph.alphabet if not is_one_family(b)
+                   for j in np.flatnonzero(graph.adjacency[at, index[b]]).tolist()]
     out = [0.0] * (N + 1)
-    cur: dict[tuple, float] = {}
-    two_to_one, blocked, finalize = False, None, None
+    cur: defaultdict[tuple, float] = defaultdict(float)
+    va = np.zeros(len(aux))          # the mass standing on each auxiliary
+    blocked, finalize = None, None
+
+    def enter(nxt, va_nxt, b, v):
+        # paths of weight v, their run closed, step onto b
+        if b in onto:
+            nxt[("two", 1) if b == TWO else ("wing", 1, b)] += v * onto[b]
+        else:
+            va_nxt[aux[b]] += v * w_one * eZ
+
     if target == ONE:
         start = w_one * eZ
-        if graph.allowed(ONE, ONE):
-            out[1] += start
-        n_aux = sum(1 for s in graph.successors(ONE) if is_aux(s))
-        aux = next((s for s in graph.alphabet if is_aux(s)), None)
-        aux_to_one = aux is not None and graph.allowed(aux, ONE)
-        n_a = 0 if aux is None else sum(1 for s in graph.successors(aux) if is_aux(s))
-        two_to_one = graph.allowed(TWO, ONE)
-        if n_aux:
-            cur[("aux",)] = start * n_aux * w_one * eZ
-        if graph.allowed(ONE, TWO):
-            cur[("two", 1)] = start * 2.0 ** (-beta) * eZ
+        for b in graph.successors(ONE):
+            if b == ONE:
+                out[1] += start
+            else:
+                enter(cur, va, b, start)
     else:  # no auxiliary state is ever entered
         blocked = THREE
         finalize = math.exp(-params.gamma * beta) * 2.0 ** eb * math.exp(Z)
         if graph.allowed(THREE, TWO):
-            head = w3 * 2.0 ** (-eb) * eZ
-            cur[("two", 1)] = head * 2.0 ** (-beta) * eZ
+            cur[("two", 1)] = onto[THREE] * onto[TWO]
     for tau in range(2, N + 1):
         nxt: defaultdict[tuple, float] = defaultdict(float)
+        out[tau] += _exact_sum(va[into_one])
+        with np.errstate(over="ignore"):
+            va_nxt = np.array([_exact_sum(va[p]) for p in preds]) * w_one * eZ
+        for j, b in aux_to_body:
+            enter(nxt, va_nxt, b, float(va[j]))
         for state, v in cur.items():
-            kind = state[0]
-            if kind == "aux":
-                if aux_to_one:
-                    out[tau] += v
-                if n_a:
-                    nxt[("aux",)] += v * n_a * w_one * eZ
-            elif kind == "two":
+            if state[0] == "two":
                 n = state[1]
-                if two_to_one:
-                    out[tau] += v
-                if two_to_two:
-                    nxt[("two", n + 1)] += v * ((n + 2.0) / (n + 1.0)) ** (-beta) * eZ
-                for wsym in two_to_wings:
-                    nxt[("wing", 1, wsym)] += v * w3 * 2.0 ** (-eb) * eZ
+                for b in graph.successors(TWO):
+                    if b == TWO:
+                        nxt[("two", n + 1)] += v * ((n + 2.0) / (n + 1.0)) ** (-beta) * eZ
+                    elif is_one_family(b) and target != ONE:
+                        continue  # the walk to [32] stays off the 1-family
+                    elif b == ONE:
+                        out[tau] += v
+                    else:
+                        enter(nxt, va_nxt, b, v)
             else:
                 m, sym = state[1], state[2]
                 lo, hi = (THREE, FOUR) if sym in (THREE, FOUR) else (THREE_P, FOUR_P)
@@ -411,8 +474,17 @@ def dict_return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
             for state, v in nxt.items():
                 if state[0] == "wing" and state[2] == THREE:
                     out[tau] += v * finalize
-        cur = nxt
+        cur, va = nxt, va_nxt
     return out
+
+
+def _exact_sum(values: np.ndarray) -> float:
+    """The correctly rounded sum of nonnegative values, +inf past the double
+    range."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        return math.inf
 
 
 def exhaustive_renewal_tail_bound(lam_fn, params: ModelParams, beta: float, Z: float,
@@ -420,15 +492,19 @@ def exhaustive_renewal_tail_bound(lam_fn, params: ModelParams, beta: float, Z: f
     """The renewal tail bound of `oracle._renewal_tail_bound` with lambda
     evaluated at every one of its three probes: the minimum over all of them
     of lam(Z') e^{-(N+1)(Z-Z')} / (1 - e^{-(Z-Z')}), +inf where no probe
-    gives a finite lambda.  The reference its pruned loop must equal."""
+    gives a finite lambda.  A probe that rounds onto Z gives no bound.  The
+    reference its pruned loop must equal."""
     best = math.inf
     for frac in (0.25, 0.5, 0.75):
         z_probe = z_floor + frac * (Z - z_floor)
+        dz = Z - z_probe
+        spread = 1.0 - math.exp(-dz)
+        if spread == 0.0:  # the probe rounded onto Z: no bound
+            continue
         lam = lam_fn(params, beta, z_probe)
         if not math.isfinite(lam.value):
             continue
-        dz = Z - z_probe
-        best = min(best, lam.value * math.exp(-(N + 1) * dz) / (1.0 - math.exp(-dz)))
+        best = min(best, lam.value * math.exp(-(N + 1) * dz) / spread)
     return best
 
 
@@ -502,19 +578,9 @@ def compressed_gap_returns_to_1(params: ModelParams, beta: float, Z: float,
 # ---------------------------------------------------------------------------
 # periodic points
 
-def _lumped_alphabet(graph: TransitionGraph) -> tuple[list[str], str | None]:
-    """Non-auxiliary symbols plus the first auxiliary, which stands for all L."""
-    rep = [s for s in graph.alphabet if not is_aux(s)]
-    aux = next((s for s in graph.alphabet if is_aux(s)), None)
-    if aux is not None:
-        rep.append(aux)
-    return rep, aux
-
-
 def periodic_points(graph: TransitionGraph, n: int) -> list[tuple[str, ...]]:
-    """Every admissible cyclic n-tuple, depth-first; auxiliaries lumped into
-    the first one (each stands for L weight-identical points)."""
-    rep, aux = _lumped_alphabet(graph)
+    """Every admissible cyclic n-tuple of the full alphabet, depth-first."""
+    require_full_alphabet(graph)
     out: list[tuple[str, ...]] = []
     stack: list[str] = []
 
@@ -524,13 +590,11 @@ def periodic_points(graph: TransitionGraph, n: int) -> list[tuple[str, ...]]:
                 out.append(tuple(stack))
             return
         for nxt in graph.successors(stack[-1]):
-            if is_aux(nxt) and nxt != aux:
-                continue
             stack.append(nxt)
             rec()
             stack.pop()
 
-    for s0 in rep:
+    for s0 in graph.alphabet:
         stack = [s0]
         rec()
     return out
@@ -570,23 +634,21 @@ def periodic_point_sums(params: ModelParams, graph: TransitionGraph, n: int,
                         betas) -> dict[float, float]:
     """sum over period-n points of exp(beta * S_n phi), for each beta.
 
-    The points are enumerated once on the lumped alphabet, where each
-    auxiliary position carries a factor L.  Each sum is taken with math.fsum.
+    The points are enumerated once on the full alphabet, every auxiliary
+    symbol on its own.  Each sum is taken with math.fsum.
     """
-    W = np.array(periodic_points(graph, n))
-    S = cycle_birkhoff_sums(params, W)
-    n_aux = np.isin(W, [s for s in graph.alphabet if is_aux(s)]).sum(axis=1)
-    mult = float(params.L) ** n_aux
-    return {beta: math.fsum(mult * np.exp(beta * S)) for beta in betas}
+    S = cycle_birkhoff_sums(params, np.array(periodic_points(graph, n)))
+    return {beta: math.fsum(np.exp(beta * S)) for beta in betas}
 
 
 def mp_periodic_orbit_pressure(params: ModelParams, beta: float, n: int,
                                graph: TransitionGraph, dps: int = 40) -> float:
     """The transfer-matrix trace (1/n) log trace(M^n), built again from the
-    state rules and evaluated in mpmath at `dps` digits."""
+    state rules on the full alphabet and evaluated in mpmath at `dps`
+    digits."""
     import mpmath
 
-    rep, aux = _lumped_alphabet(graph)
+    require_full_alphabet(graph)
 
     def steps(sym: str, d: int, nxt: str) -> list[tuple[str, int]]:
         same = (sym == TWO) == (nxt == TWO)
@@ -609,10 +671,10 @@ def mp_periodic_orbit_pressure(params: ModelParams, beta: float, n: int,
                     if sym in (FOUR, FOUR_P):
                         base += mpmath.mpf(params.delta)
                     phi = base - mpmath.mpf(params.epsilon) * corr
-            return (params.L if sym == aux else 1) * mpmath.exp(mpmath.mpf(beta) * phi)
+            return mpmath.exp(mpmath.mpf(beta) * phi)
 
-        states = [(s, d) for s in rep for d in range(n)]
-        succ = {st: [(t, weight(*t)) for b in graph.successors(st[0]) if b in rep
+        states = [(s, d) for s in graph.alphabet for d in range(n)]
+        succ = {st: [(t, weight(*t)) for b in graph.successors(st[0])
                      for t in steps(st[0], st[1], b)]
                 for st in states}
         trace = mpmath.mpf(0)

@@ -288,15 +288,18 @@ class TestOracleCmd:
 
     def test_corrupted_aux_edge_fails(self):
         # one auxiliary among several stepping into the body: a block fill
-        # that overwrote the single corrupted entry would pass
-        code, out = run(["oracle", "--config", CFG, "--L", "3", "--corrupt-edge", "1_2:2"])
-        assert code == EXIT_ORACLE_FAIL
-        row = next(line for line in out.splitlines() if line.startswith("entropy vs P(0)"))
-        assert row.split()[-1] == "FAIL"
+        # that overwrote the single corrupted entry would pass, and so would
+        # a return walk that read one auxiliary's edges for all of them
+        for edge in ("1_2:2", "1_3:2"):
+            code, out = run(["oracle", "--config", CFG, "--L", "3", "--corrupt-edge", edge])
+            assert code == EXIT_ORACLE_FAIL
+            status = {" ".join(line.split()[:-5]): line.split()[-1] for line in out.splitlines()}
+            assert status["entropy vs P(0)"] == "FAIL", edge
+            assert "FAIL" in (status["returns_to_1 beta=0.25"], status["returns_to_1 beta=0.5"])
 
     def test_large_L_is_cheap(self):
-        # the graph is a block-filled adjacency matrix: L = 2000 costs about
-        # what L = 1 does, not the seconds an edge-by-edge build took
+        # the graph has one class for the auxiliaries, whatever L is: L = 2000
+        # costs what L = 1 does, not the seconds an edge-by-edge build took
         t0 = time.perf_counter()
         code, out = run(["oracle", "--config", CFG, "--L", "2000"])
         elapsed = time.perf_counter() - t0

@@ -13,7 +13,6 @@ from butterflyshift.model import (
     THREE,
     TWO,
     TransitionGraph,
-    alphabet_for,
     aux_symbol,
     build_graph,
     wing_pressure,
@@ -28,11 +27,14 @@ from reference_engines import (
     STAY_IN_WING,
     LookaheadError,
     Word,
+    alphabet_for,
     birkhoff_sum,
     birkhoff_weight,
+    class_members,
     continuation_consistent,
     edge_graph,
     edge_set,
+    expanded_graph,
     is_admissible,
     is_irreducible,
     mirror_word,
@@ -124,15 +126,27 @@ class TestAdjacencyMatchesEdgeSet:
     def test_same_graph(self, L, variant, name):
         params = ModelParams(1.0, 0.5, 1.0, 1.0, L, variant)
         extra, drop = self.corruption(name, L)
-        graph = build_graph(params, extra_edges=extra)
+        classes = build_graph(params, extra_edges=extra)
         edges = edge_set(params, extra, drop)
         alphabet = alphabet_for(params)
+        members = class_members(classes, params)
+        assert [len(members[c]) for c in classes.alphabet] == classes.multiplicity.tolist()
+        assert sorted(sum(members.values(), [])) == sorted(alphabet)
+        graph = expanded_graph(classes, params)
         if drop:
             # a hole in the block fill: the views of an adjacency no build makes
             adj = graph.adjacency.copy()
             for a, b in drop:
                 adj[alphabet.index(a), alphabet.index(b)] = False
             graph = TransitionGraph(alphabet, adj)
+        else:
+            # the classes are equitable: each symbol of class i steps to as
+            # many symbols of class j as the count matrix says
+            count = incidence_matrix(classes)
+            for i, c in enumerate(classes.alphabet):
+                for a in members[c]:
+                    assert [sum((a, b) in edges for b in members[d])
+                            for d in classes.alphabet] == count[i].tolist(), a
         assert graph.alphabet == alphabet
         assert graph.edges == edges
         for s in alphabet:
@@ -141,6 +155,18 @@ class TestAdjacencyMatchesEdgeSet:
             syms = [s for s in alphabet if restrict is None or s in restrict]
             ref = np.array([[1.0 if (a, b) in edges else 0.0 for b in syms] for a in syms])
             assert np.array_equal(incidence_matrix(graph, restrict), ref)
+
+    @pytest.mark.parametrize("variant, n_classes", [("A", 5), ("B", 7)])
+    def test_classes_do_not_grow_with_L(self, variant, n_classes):
+        # the auxiliaries no edge names are one class, however many there are
+        params = ModelParams(1.0, 0.5, 1.0, 1.0, 3000, variant)
+        graph = build_graph(params)
+        assert len(graph.alphabet) == n_classes
+        assert graph.multiplicity.sum() == len(alphabet_for(params))
+        assert graph.multiplicity.tolist() == [1] * (n_classes - 1) + [3000]
+        named = build_graph(params, extra_edges=[("1_2", TWO), ("1_3000", "1")])
+        assert named.alphabet[-3:] == ("1_1", "1_2", "1_3000")
+        assert named.multiplicity.tolist()[-3:] == [2998, 1, 1]
 
     def test_unknown_symbol_raises(self, params):
         for edge in (("5", TWO), (TWO, aux_symbol(2))):
@@ -151,6 +177,9 @@ class TestAdjacencyMatchesEdgeSet:
         for adj in (np.ones((3, 3)), np.ones((2, 3)), np.ones(4), np.ones((2, 2, 1))):
             with pytest.raises(ValueError, match="over 2 symbols"):
                 TransitionGraph((THREE, "4"), adj)
+        for mult in ([1], [1, 0], [[1, 1]]):
+            with pytest.raises(ValueError, match="over 2 symbols"):
+                TransitionGraph((THREE, "4"), np.ones((2, 2)), mult)
         assert TransitionGraph((THREE, "4"), np.ones((2, 2))).edges == {
             (THREE, THREE), (THREE, "4"), ("4", THREE), ("4", "4")}
 

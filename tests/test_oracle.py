@@ -110,19 +110,41 @@ class TestCheckLn:
         assert all(abs(e - c) <= 1e-11 * abs(c) for _, e, c in rows)
 
 
+P_L3 = ModelParams(1.0, 0.5, 1.0, 1.0, L=3)
+
+# (params, extra edges, dropped edges): a body edge, edges out of one
+# auxiliary among three into the body, a 2-run closing onto an auxiliary,
+# one auxiliary's way back to 1 removed, and edges from 1 and 2 onto a 4
+CORRUPTED_GRAPHS = (
+    (REFERENCE, [("4", "2")], []),
+    (REFERENCE, [], [("1_1", "1")]),
+    (P_L3, [("1_1", "2")], []),
+    (P_L3, [("1_2", "2")], []),
+    (P_L3, [("1_3", "3")], []),
+    (P_L3, [("1_2", "4")], []),
+    (P_L3, [("2", "1_2")], []),
+    (P_L3, [], [("1_2", "1")]),
+    (REFERENCE, [("1", "4")], []),
+    (REFERENCE, [("2", "4")], []),
+)
+
+
 class TestEnginesAgree:
     @pytest.mark.parametrize("params", [REFERENCE, PARAMS_B,
                                         ModelParams(0.7, 0.3, 2.0, 1.4, L=3)])
     def test_dp_matches_literal_returns_to_1(self, params):
-        graph = build_graph(params)
+        # the literal words on the full alphabet; the walk on its classes
         beta, Z = 0.6, pressure_full(params, 0.6) + 0.3
         N = 9
         lit = [0.0] * (N + 1)
-        for rw in return_words_to_1(graph, params, beta, Z, N):
+        for rw in return_words_to_1(edge_graph(params), params, beta, Z, N):
             lit[rw.tau] += rw.weight
-        dp = oracle._return_walk(graph, params, beta, Z, N, ONE)
+        dp = oracle._return_walk(build_graph(params), params, beta, Z, N, ONE)
         for t in range(1, N + 1):
             assert_close(dp[t], lit[t], 1e-14 * max(1.0, abs(lit[t])), f"tau={t}")
+        if params.L > 1:  # the literal engine counts symbols, not classes
+            with pytest.raises(ValueError, match="full alphabet"):
+                return_words_to_1(build_graph(params), params, beta, Z, N)
 
     @pytest.mark.parametrize("params", [REFERENCE, PARAMS_B])
     def test_dp_matches_literal_returns_to_32(self, params):
@@ -137,20 +159,27 @@ class TestEnginesAgree:
             assert_close(dp[t], lit[t], 1e-14 * max(1.0, abs(lit[t])), f"tau={t}")
 
     def test_dp_matches_literal_on_corrupted_graph(self):
-        # an extra body edge, and (at L = 1, where the auxiliary state is
-        # exact) the auxiliary's way back to 1 removed
-        for extra, drop in [([("4", "2")], []), ([], [("1_1", "1")])]:
-            graph = (edge_graph(REFERENCE, drop_edges=drop) if drop
-                     else build_graph(REFERENCE, extra_edges=extra))
-            beta, Z = 0.5, pressure_full(REFERENCE, 0.5) + 0.4
+        # every edge out of an auxiliary is read, whichever auxiliary it
+        # leaves, and so is a 2-run closing onto one: the walk on the classes
+        # and on the full alphabet against the literal words, and the
+        # periodic trace on both against the enumerated points
+        for params, extra, drop in CORRUPTED_GRAPHS:
+            full = edge_graph(params, extra, drop)
+            graphs = [full] + ([] if drop else [build_graph(params, extra_edges=extra)])
+            beta, Z = 0.5, pressure_full(params, 0.5) + 0.4
             N = 9
             lit = [0.0] * (N + 1)
-            for rw in return_words_to_1(graph, REFERENCE, beta, Z, N):
+            for rw in return_words_to_1(full, params, beta, Z, N):
                 lit[rw.tau] += rw.weight
-            dp = oracle._return_walk(graph, REFERENCE, beta, Z, N, ONE)
-            for t in range(1, N + 1):
-                assert_close(dp[t], lit[t], 1e-14 * max(1.0, abs(lit[t])),
-                             f"extra={extra} drop={drop} tau={t}")
+            points = {n: periodic_point_sums(params, full, n, (0.5,))[0.5] for n in (2, 5, 7)}
+            for graph in graphs:
+                dp = oracle._return_walk(graph, params, beta, Z, N, ONE)
+                for t in range(1, N + 1):
+                    assert abs(dp[t] - lit[t]) <= min(1e-14 * max(1.0, lit[t]), 1e-12 * lit[t]), (
+                        f"extra={extra} drop={drop} classes={graph.alphabet} tau={t}")
+                for n, expect in points.items():
+                    got = math.exp(n * periodic_orbit_pressure(params, 0.5, n, graph=graph))
+                    assert_close(got, expect, 1e-13 * expect, f"extra={extra} drop={drop} n={n}")
 
     def test_compressed_matches_dp(self):
         graph = build_graph(REFERENCE)
@@ -187,15 +216,18 @@ class TestArrayWalk:
     def test_matches_dict_walk(self, params, corrupt):
         # same factors but the wing steps, which are one exponential each:
         # a few ulps per step, agreeing to 4e-15 relative over 22 steps and
-        # in proportion over more
-        graph = (edge_graph if "drop_edges" in corrupt else build_graph)(params, **corrupt)
+        # in proportion over more.  The walk runs on the classes (on the full
+        # alphabet where an edge is dropped), the dict walk on the full
+        # alphabet, every auxiliary on its own
+        full = edge_graph(params, **corrupt)
+        graph = full if "drop_edges" in corrupt else build_graph(params, **corrupt)
         for beta in (0.0, 0.25, 0.5, 0.9):
             z32 = max(wing_pressure(params, beta) + 0.3, abscissa_32(params, beta) + 0.2)
             for target, Z, horizon in ((ONE, pressure_full(params, beta) + 0.2, 22),
                                        (THREE, z32, 20)):
                 for N in (horizon, RAW_HORIZON_CAP):
                     walk = oracle._return_walk(graph, params, beta, Z, N, target)
-                    ref = dict_return_walk(graph, params, beta, Z, N, target)
+                    ref = dict_return_walk(full, params, beta, Z, N, target)
                     assert len(walk) == len(ref) == N + 1
                     rtol = 4e-15 * max(1.0, N / 22)
                     for tau, (a, b) in enumerate(zip(walk, ref)):
@@ -229,7 +261,7 @@ class TestArrayWalk:
         assert 200 < first < 400
         assert all(v == math.inf for v in walk[first:])
         # the dict walk's separate factors overflow a step or so earlier
-        ref = dict_return_walk(graph, p, beta, Z, 400, ONE)
+        ref = dict_return_walk(edge_graph(p), p, beta, Z, 400, ONE)
         for tau in range(first):
             assert math.isfinite(walk[tau]), tau
             if math.isfinite(ref[tau]):
@@ -418,6 +450,24 @@ class TestRenewalTailBound:
                 exhaustive = exhaustive_renewal_tail_bound(lam_fn, params, beta, z, N, z_floor)
                 assert pruned == exhaustive, (target, beta, z - z_floor)
 
+    def test_probe_rounding_onto_Z_gives_no_bound(self):
+        # one ulp above the abscissa a probe rounds onto Z, where the
+        # geometric factor divided by zero: it is skipped, and the row is a
+        # Check.  A bound whose every probe rounds onto Z is +inf
+        for enumerate_returns, lam_fn, z_floor in (
+                (enumerate_returns_to_1, spectral.lambda_1,
+                 spectral.abscissa(REFERENCE, 0.5).Z_c),
+                (enumerate_returns_to_32, spectral.lambda_32, abscissa_32(REFERENCE, 0.5))):
+            Z = math.nextafter(z_floor, math.inf)
+            row = enumerate_returns(REFERENCE, 0.5, Z, 22)
+            assert isinstance(row, oracle.Check) and row.bound > 0.0
+            lam = lam_fn(REFERENCE, 0.5, Z).value
+            assert (oracle._renewal_tail_bound(lam_fn, REFERENCE, 0.5, Z, 22, z_floor, lam)
+                    == exhaustive_renewal_tail_bound(lam_fn, REFERENCE, 0.5, Z, 22, z_floor))
+            for bound in (oracle._renewal_tail_bound(lam_fn, REFERENCE, 0.5, Z, 22, Z, lam),
+                          exhaustive_renewal_tail_bound(lam_fn, REFERENCE, 0.5, Z, 22, Z)):
+                assert bound == math.inf
+
     @pytest.mark.parametrize("params", [REFERENCE, PARAMS_B], ids=["A", "B"])
     def test_each_return_row_evaluates_lambda_twice(self, params, lambda_evaluations,
                                                     monkeypatch):
@@ -460,10 +510,12 @@ class TestIncidenceEntropy:
     def test_matrix_matches_allowed(self):
         for params, extra in [(REFERENCE, []), (PARAMS_B, [("4", "2")]),
                               (ModelParams(1.0, 0.5, 1.0, 1.0, L=7), [("4", "1")])]:
+            # each entry counts the symbols of the column's class
             graph = build_graph(params, extra_edges=extra)
+            mult = dict(zip(graph.alphabet, graph.multiplicity.tolist()))
             for restrict in (None, no_one_family(graph)):
                 syms = [s for s in graph.alphabet if restrict is None or s in restrict]
-                ref = np.array([[1.0 if graph.allowed(a, b) else 0.0 for b in syms]
+                ref = np.array([[mult[b] if graph.allowed(a, b) else 0.0 for b in syms]
                                 for a in syms])
                 assert np.array_equal(incidence_matrix(graph, restrict), ref)
 
@@ -495,12 +547,10 @@ class TestPeriodicOrbits:
             periodic_orbit_pressure(REFERENCE, 0.5, 15)
 
     def test_aux_multiplicity(self):
-        # the count of period-2 points must match the incidence-matrix trace
+        # the count of period-2 points must match the full incidence-matrix trace
         p3 = ModelParams(1.0, 0.5, 1.0, 1.0, L=3)
         g = build_graph(p3)
-        import numpy as np
-        from butterflyshift.oracle import incidence_matrix
-        M = incidence_matrix(g)
+        M = incidence_matrix(edge_graph(p3))
         expect = float(np.trace(M @ M))
         est = periodic_orbit_pressure(p3, 0.0, 2, graph=g)
         assert_close(math.exp(2 * est), expect, 1e-9)
@@ -510,14 +560,16 @@ class TestPeriodicOrbits:
                              ids=["clean", "4:2", "4:1", "3:1+1:4"])
     @pytest.mark.parametrize("variant", ["A", "B"])
     def test_trace_matches_enumeration(self, variant, extra):
-        # every period-n point enumerated and weighted from its own wrapped
-        # run lengths, against the transfer-matrix trace
+        # every period-n point of the full alphabet enumerated and weighted
+        # from its own wrapped run lengths, against the transfer-matrix trace
+        # on the classes.  At L = 3 the head alone has 4^n points, so n stops
+        # at 8 there
         betas = (0.0, 0.5, 1.1)
-        for L in (1, 3):
+        for L, n_max in ((1, 10), (3, 8)):
             p = ModelParams(1.0, 0.5, 1.0, 1.0, L, variant)
-            g = build_graph(p, extra_edges=extra)
-            for n in range(2, 11):
-                sums = periodic_point_sums(p, g, n, betas)
+            g, full = build_graph(p, extra_edges=extra), edge_graph(p, extra_edges=extra)
+            for n in range(2, n_max + 1):
+                sums = periodic_point_sums(p, full, n, betas)
                 for beta, expect in sums.items():
                     got = math.exp(n * periodic_orbit_pressure(p, beta, n, graph=g))
                     assert_close(got, expect, 1e-13 * expect, f"L={L} n={n} beta={beta}")
@@ -528,19 +580,18 @@ class TestPeriodicOrbits:
                              ids=["A", "B", "delta=200", "gamma=800"])
     def test_trace_matches_mpmath_at_n12(self, params):
         pytest.importorskip("mpmath")
-        g = build_graph(params)
-        expect = mp_periodic_orbit_pressure(params, 0.5, 12, g)
-        got = periodic_orbit_pressure(params, 0.5, 12, graph=g)
+        expect = mp_periodic_orbit_pressure(params, 0.5, 12, edge_graph(params))
+        got = periodic_orbit_pressure(params, 0.5, 12, graph=build_graph(params))
         assert_close(got, expect, 1e-14 * abs(expect))
 
     @pytest.mark.parametrize("variant", ["A", "B"])
     @pytest.mark.parametrize("L", [1, 7, 300])
     def test_point_count_matches_incidence_trace(self, variant, L):
-        # at beta = 0 the trace counts period-n points on the full alphabet,
-        # every one of the L auxiliaries included
+        # at beta = 0 the trace on the classes counts period-n points on the
+        # full alphabet, every one of the L auxiliaries included
         p = ModelParams(1.0, 0.5, 1.0, 1.0, L, variant)
         g = build_graph(p)
-        A = incidence_matrix(g)
+        A = incidence_matrix(edge_graph(p))
         for n in (3, 8, 14):
             expect = float(np.trace(np.linalg.matrix_power(A, n)))
             got = math.exp(n * periodic_orbit_pressure(p, 0.0, n, graph=g))
@@ -561,8 +612,8 @@ REFERENCE_VALUES = {
     "returns_to_32 beta=0.25": (0.177082177591691, 0.176770434195023, 0.0316107539911124),
     "returns_to_1 beta=0.5": (0.203754749998175, 0.203722714880305, 0.0585625033196854),
     "returns_to_32 beta=0.5": (0.0627371763217946, 0.062679517075179, 0.00860516995082266),
-    "entropy vs P(0)": (1.00505253874238, 1.00505253874235, 1e-8),
-    "entropy vs P_mid(0)": (0.881373587019543, 0.881373587019524, 1e-8),
+    "entropy vs P(0)": (1.00505253874238, 1.00505253874238, 1e-8),
+    "entropy vs P_mid(0)": (0.881373587019543, 0.881373587019543, 1e-8),
     "periodic orbits beta=0.5": (1.22899938739848, 1.23153981594217, 0.02),
 }
 
