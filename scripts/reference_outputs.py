@@ -58,6 +58,9 @@ INVOCATIONS = {
     "oracle_L299": ["oracle", "--L", "299"],
     "oracle_corrupt_edge": ["oracle", "--corrupt-edge", "4:2"],
     "oracle_B_corrupt_edge": ["oracle", *B, "--corrupt-edge", "4:2"],
+    # edges the return walk does not read: the rows it certifies FAIL
+    "oracle_L3_corrupt_wing_to_aux": ["oracle", "--L", "3", "--corrupt-edge", "3:1_2"],
+    "oracle_B_corrupt_wing_to_wing": ["oracle", *B, "--corrupt-edge", "3:3'"],
     # every horizon at its cap: the return walks at N = 30
     "oracle_max_horizons": ["oracle", "--n-return", "30", "--n-period", "14", "--n-ln", "20"],
     "oracle_delta1500": ["oracle", "--delta", "1500"],

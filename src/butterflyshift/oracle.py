@@ -2,19 +2,22 @@
 `verification_table`: every check of the `oracle` command, with its probe
 points, horizons and tolerances; the command only prints its records.
 
-Every engine reads every edge of the graph's classes of twin symbols, so no
-cost grows with L.  Return-word enumeration runs on one engine, "dp": a walk
-over the transition graph with weight-equivalent paths aggregated by (symbol
-kind, current run length).  Its transfer matrix on those states is filled
-edge-by-edge from the graph, so a corrupted edge set changes its output, and
-each step is one matrix-vector product; it is exact, and the acceptance
-suite and the `oracle` command run it.  The test suite keeps the rawer
-reference engines it is checked against, on the full alphabet (literal word
-enumeration, run-length convolution, depth-first periodic-point enumeration).
+Every engine reads the graph's classes of twin symbols through a matrix, so
+no cost grows with L.  Return-word enumeration runs on one engine, "dp": a
+walk over the transition graph with weight-equivalent paths aggregated by
+(symbol kind, current run length).  Its transfer matrix on those states is
+filled edge-by-edge from the graph, so a corrupted edge set changes its
+output, and each step is one matrix-vector product; it is exact, and the
+acceptance suite and the `oracle` command run it.  It reads every edge but
+one from a wing into the 1-family or the other wing, and a return row on a
+graph with such an edge FAILs.  The test suite keeps the rawer reference
+engines it is checked against, on the full alphabet (literal word
+enumeration, run-length convolution, depth-first periodic-point enumeration,
+literal wing words).
 
-Plus wing-block counting against the closed form, the entropy of the class
-count matrix, and periodic-orbit pressure as the trace of a run-length
-transfer matrix.
+Plus the wing words counted on the transfer matrix of the graph's wing
+block against the closed form, the entropy of the class count matrix, and
+periodic-orbit pressure as the trace of a run-length transfer matrix.
 """
 
 from __future__ import annotations
@@ -39,7 +42,12 @@ from .model import (
     is_one_family,
     wing_pressure,
 )
-from .spectral import abscissa, lambda_1 as _lambda_1, lambda_32 as _lambda_32
+from .spectral import (
+    abscissa,
+    lambda_1 as _lambda_1,
+    lambda_32 as _lambda_32,
+    wing_multiplicity,
+)
 
 RAW_HORIZON_CAP = 30
 RETURN_32_HORIZON = 20  # the table's [32] rows enumerate at most this many steps
@@ -89,6 +97,11 @@ def _certified(name: str, analytic: float, partial: float, tail: float) -> Check
 # ---------------------------------------------------------------------------
 # aggregated graph-walk engine
 
+# the wing of each wing symbol: 0 the unprimed one, 1 the mirrored one of
+# variant B
+_WING_OF = {THREE: 0, FOUR: 0, THREE_P: 1, FOUR_P: 1}
+
+
 def _return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
                  Z: float, N: int, target: str) -> list[float]:
     """Per-tau first-return mass to [1] (target ONE) or [32] (target THREE).
@@ -106,7 +119,8 @@ def _return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
     exponential, e^(gamma*beta-Z) onto a 3 and e^((gamma+delta)*beta-Z) onto a
     4, which stays in range where e^((gamma+delta)*beta) alone would overflow.
     No run outgrows the N lengths: at step tau it is at most tau - 1 long.  An
-    edge from a wing into the 1-family or the other wing is not read.
+    edge from a wing into the 1-family or the other wing is not read
+    (`_skips_an_edge`).
 
     [1]: the walk leaves 1 and returns on a step from an auxiliary or a 2
     into 1.  A step from 1, an auxiliary or a 2-run onto an auxiliary class j
@@ -217,6 +231,18 @@ def _saturating_product(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.where((a[..., infinite] > 0.0).any(axis=-1), np.inf, y)
 
 
+def _skips_an_edge(graph: TransitionGraph, target: str) -> bool:
+    """Whether `graph` has an edge that the walk to `target` does not read:
+    one from a wing symbol into the other wing or, for [1], into the
+    1-family.  The words through such an edge weigh nothing in the walk, and
+    the literal words cannot weigh them either (a wing run's distance to the
+    next 2 would run past the return).  The walk to [32] stays off the
+    1-family by design, so an edge into it is out of that row's scope."""
+    return any(a in _WING_OF and b != TWO and _WING_OF.get(b) != _WING_OF[a]
+               and (target == ONE or not is_one_family(b))
+               for a, b in graph.edges)
+
+
 def _renewal_tail_bound(lam_fn, params: ModelParams, beta: float, Z: float,
                         N: int, z_floor: float, lam_at_Z: float) -> float:
     """Bound on the mass of return words longer than N.
@@ -255,7 +281,9 @@ def _compare_returns(params: ModelParams, beta: float, Z: float, N: int,
 
     The row's own lambda(Z) is handed to the tail bound, which skips every
     probe that this lower bound of lambda(Z') shows cannot tighten it: on the
-    reference table that leaves one probe, two lambda evaluations per row."""
+    reference table that leaves one probe, two lambda evaluations per row.
+    On a graph with an edge the walk does not read, the tail is infinite, so
+    the row FAILs and prints an infinite bound."""
     if graph is None:
         graph = build_graph(params)
     if target == ONE:
@@ -270,7 +298,8 @@ def _compare_returns(params: ModelParams, beta: float, Z: float, N: int,
     lam = lam_fn(params, beta, Z)
     if not lam.defined:
         raise ValueError(f"lambda_{cyl} undefined at the requested point")
-    tail = _renewal_tail_bound(lam_fn, params, beta, Z, N, z_floor, lam.value)
+    tail = (math.inf if _skips_an_edge(graph, target)
+            else _renewal_tail_bound(lam_fn, params, beta, Z, N, z_floor, lam.value))
     return _certified(f"returns_to_{cyl} beta={beta:g}", lam.value, math.fsum(per_tau), tail)
 
 
@@ -301,34 +330,41 @@ def abscissa_32(params: ModelParams, beta: float) -> float:
 # ---------------------------------------------------------------------------
 # wing-block counting, incidence entropy, periodic orbits
 
-def check_Ln(params: ModelParams, beta: float, n_max: int) -> list[tuple[int, float, float]]:
-    """Enumerate all wing words w in {3,4}^n with w_0 = w_{n-1} = 3 and compare
-    the per-symbol weight sum against the closed form.
+def check_Ln(params: ModelParams, beta: float, n_max: int,
+             graph: TransitionGraph | None = None) -> list[tuple[int, float, float]]:
+    """The weight of the wing words of length n = 2..n_max on `graph`, each
+    running from a 3-head (3, or 3' in variant B) through wing symbols back
+    to that same head, against the closed form.
 
     Every word weight is scaled by e^-(n*beta*gamma + (n-2)*beta*delta), the
-    weight of the heaviest word, so the closed form is (1+e^(-beta*delta))^(n-2)
-    and no weight overflows at large gamma or delta.  Exact for every n >= 2
-    (this pins the wing combinatorics and the normalization of the block
-    series).  The length-n weights are built from the length-(n-1) ones, in
-    place in one buffer of 2^(n_max-2) entries, one entry per word and no
-    word counted by a binomial shortcut.
+    weight of the heaviest word, so a step onto a 3 or 3' weighs
+    e^(-beta*delta), a step onto a 4 or 4' weighs 1, and no weight overflows
+    at large gamma or delta.  The closed form is m (1+e^(-beta*delta))^(n-2)
+    for m wings: each wing is a full shift on its 3 and 4, exact for every
+    n >= 2 (this pins the wing combinatorics and the normalization of the
+    block series).  The enumerated side is read off the transfer matrix of
+    the graph's own edges among the wing symbols, the count matrix weighted
+    by the symbol each step enters, so a dropped or added wing edge changes
+    it.  `graph` defaults to `build_graph(params)`.
     """
     if n_max > LN_CAP:
         raise ValueError(f"check_Ln capped at n_max={LN_CAP}")
-    rows = []
+    if graph is None:
+        graph = build_graph(params)
     e3 = math.exp(-beta * params.delta)  # a 3 where the heaviest word has a 4
-    weights = np.empty(1 << max(n_max - 2, 0))
-    weights[0] = 1.0  # the word 3,3
-    k = 1  # the words of length n are weights[:k]
+    wing = [s for s in graph.alphabet if s in _WING_OF]
+    count = incidence_matrix(graph, restrict_to=wing)
+    step = count * [e3 if s in (THREE, THREE_P) else 1.0 for s in wing]
+    heads = [i for i, s in enumerate(wing) if s in (THREE, THREE_P)]
+    paths = np.eye(len(wing))[heads]  # from each head, the words without their last 3
+    closing = count[:, heads].T       # the last step, back onto that head, weighs 1
+    m = wing_multiplicity(params)
+    rows = []
     for n in range(2, n_max + 1):
         if n > 2:
-            # each length-(n-1) word with a 3 or a 4 put in before its last 3
-            weights[k:2 * k] = weights[:k]
-            weights[:k] *= e3
-            k *= 2
-        enumerated = float(weights[:k].sum())
-        closed = (1.0 + e3) ** (n - 2)
-        rows.append((n, enumerated, closed))
+            paths = paths @ step
+        enumerated = float((paths * closing).sum())
+        rows.append((n, enumerated, m * (1.0 + e3) ** (n - 2)))
     return rows
 
 
@@ -444,7 +480,7 @@ def verification_table(params: ModelParams, graph: TransitionGraph, n_return: in
     exactly when that map exceeds 1 at 0.6.
     """
     rows = [_check(f"L_n n={n}", closed, enum, LN_RTOL * abs(closed))
-            for n, enum, closed in check_Ln(params, 1.0, n_ln)]
+            for n, enum, closed in check_Ln(params, 1.0, n_ln, graph)]
     above = _lambda_1(params, 0.6, wing_pressure(params, 0.6)).value > 1.0
     betas = [0.25, 0.5] if above else [0.5 * critical.critical_set(params).beta_hi]
     pressures = {}

@@ -16,9 +16,10 @@ classes of twin auxiliaries that the fast code reads, so they check them.
   * the dict-keyed return walk: the first-return masses over states
     (kind, run length) kept in a dict, the reference for the array walk of
     `oracle._return_walk`; the renewal tail bound with lambda evaluated at
-    every probe, the reference for the pruned `oracle._renewal_tail_bound`;
-    and the wing-word weights of `check_Ln` built by concatenation, the
-    reference for its in-place buffer.
+    every probe, the reference for the pruned `oracle._renewal_tail_bound`.
+  * literal wing words: every wing word from a 3-head back to that head
+    that is admissible on the graph, one weight per word, the reference for
+    the transfer matrix of `oracle.check_Ln`.
   * periodic points: depth-first enumeration of every admissible cyclic
     n-tuple, each weighted from its own wrapped run lengths, as the reference
     for the transfer-matrix trace; and that trace again in mpmath arithmetic.
@@ -38,6 +39,7 @@ directional-slope checks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
@@ -370,8 +372,8 @@ def return_words_to_32(graph: TransitionGraph, params: ModelParams, beta: float,
 
 
 # ---------------------------------------------------------------------------
-# the dict-keyed return walk, the all-probe tail bound and the concatenated
-# wing-word weights
+# the dict-keyed return walk, the all-probe tail bound and the literal wing
+# words
 
 def dict_return_walk(graph: TransitionGraph, params: ModelParams, beta: float,
                      Z: float, N: int, target: str) -> list[float]:
@@ -508,16 +510,22 @@ def exhaustive_renewal_tail_bound(lam_fn, params: ModelParams, beta: float, Z: f
     return best
 
 
-def concatenated_Ln(params: ModelParams, beta: float, n_max: int) -> list[tuple[int, float, float]]:
-    """`oracle.check_Ln` with each length's weights a new array, concatenated
-    from the previous length's."""
+def literal_wing_words(graph: TransitionGraph, params: ModelParams, beta: float,
+                       n_max: int) -> list[tuple[int, float]]:
+    """(n, weight) for n = 2..n_max of the wing words of `oracle.check_Ln`,
+    one word at a time: every middle of n - 2 wing symbols of the alphabet
+    between a 3-head (3 or 3') and that same head, kept where the whole word
+    is admissible on `graph`, weighing e^(-beta*delta) per 3 or 3' of its
+    middle (its weight over the heaviest word's).  Exponential in n."""
+    require_full_alphabet(graph)
+    wing = [s for s in graph.alphabet if s in WINGS]
+    heads = [s for s in wing if s in (THREE, THREE_P)]
     rows = []
-    e3 = math.exp(-beta * params.delta)
-    weights = np.array([1.0])
     for n in range(2, n_max + 1):
-        if n > 2:
-            weights = np.concatenate([weights * e3, weights])
-        rows.append((n, float(weights.sum()), (1.0 + e3) ** (n - 2)))
+        weights = [math.exp(-beta * params.delta * sum(s in (THREE, THREE_P) for s in mid))
+                   for head in heads for mid in itertools.product(wing, repeat=n - 2)
+                   if is_admissible(graph, (head, *mid, head))]
+        rows.append((n, math.fsum(weights)))
     return rows
 
 

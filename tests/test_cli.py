@@ -297,6 +297,24 @@ class TestOracleCmd:
             assert status["entropy vs P(0)"] == "FAIL", edge
             assert "FAIL" in (status["returns_to_1 beta=0.25"], status["returns_to_1 beta=0.5"])
 
+    def test_unread_wing_edge_fails_the_return_rows(self):
+        # the return walk reads no edge from a wing into the 1-family or into
+        # the other wing: each row whose words could take such an edge FAILs
+        # with an infinite bound, and the [32] rows, which stay off the
+        # 1-family, still read ok
+        for argv, failing in ((["--L", "3", "--corrupt-edge", "3:1_2"], ("returns_to_1",)),
+                              (["--L", "3", "--corrupt-edge", "4:1_1"], ("returns_to_1",)),
+                              (["--variant", "B", "--corrupt-edge", "3:3'"],
+                               ("returns_to_1", "returns_to_32"))):
+            code, out = run(["oracle", "--config", CFG, *argv])
+            assert code == EXIT_ORACLE_FAIL
+            returns = {" ".join(line.split()[:-5]): line.split()[-2:]
+                       for line in out.splitlines() if line.startswith("returns_to_")}
+            assert len(returns) == 4
+            for name, (bound, status) in returns.items():
+                expect = ["inf", "FAIL"] if name.startswith(failing) else [bound, "ok"]
+                assert [bound, status] == expect, (argv, name)
+
     def test_large_L_is_cheap(self):
         # the graph has one class for the auxiliaries, whatever L is: L = 2000
         # costs what L = 1 does, not the seconds an edge-by-edge build took

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -35,10 +36,10 @@ from conftest import NEAR_SWITCH_ABOVE, NEAR_SWITCH_BELOW, assert_close, clear_s
 from reference_engines import (
     compressed_gap_returns_to_1,
     compressed_partial_returns_to_1,
-    concatenated_Ln,
     dict_return_walk,
     edge_graph,
     exhaustive_renewal_tail_bound,
+    literal_wing_words,
     mp_periodic_orbit_pressure,
     periodic_point_sums,
     return_words_to_1,
@@ -49,6 +50,23 @@ PARAMS_B = ModelParams(1.0, 0.5, 1.0, 1.0, 1, "B")
 KNOWN_FAULT = ModelParams(3.0, 0.2, 0.5, 3.5, 2)
 
 _log_uniform = st.floats(math.log(1e-3), math.log(1e3)).map(math.exp)
+
+
+# (id, params, edges added or dropped, largest n checked against the literal
+# words): the clean graphs, a drop on each wing, and the two wings of
+# variant B joined both ways
+WING_GRAPHS = (
+    ("A", REFERENCE, {}, 12),
+    ("A drop 3:3", REFERENCE, {"drop_edges": [("3", "3")]}, 12),
+    ("A drop 4:4", REFERENCE, {"drop_edges": [("4", "4")]}, 12),
+    ("B", PARAMS_B, {}, 8),
+    ("B drop 3':4'", PARAMS_B, {"drop_edges": [("3'", "4'")]}, 8),
+    ("B extra 3:3'+4':4", PARAMS_B, {"extra_edges": [("3", "3'"), ("4'", "4")]}, 8),
+)
+
+# the edges among the wing symbols of each variant
+WING_BLOCK = {"A": [("3", "3"), ("3", "4"), ("4", "3"), ("4", "4")]}
+WING_BLOCK["B"] = WING_BLOCK["A"] + [(a + "'", b + "'") for a, b in WING_BLOCK["A"]]
 
 
 class TestCheckLn:
@@ -98,16 +116,41 @@ class TestCheckLn:
         for n, enum, closed in check_Ln(params, 1.0, 20):
             assert math.isfinite(enum) and abs(enum - closed) <= 1e-11 * closed, n
 
-    @pytest.mark.parametrize("n_max", [2, 3, 10, 20])
-    def test_buffer_matches_concatenation(self, n_max):
-        # the in-place buffer holds the very array the concatenations built
-        for p, beta in [(REFERENCE, 1.0), (ModelParams(1.0, 0.2, 3.0, 0.7), 0.6)]:
-            assert check_Ln(p, beta, n_max) == concatenated_Ln(p, beta, n_max)
-
     def test_row_count_at_full_horizon(self):
         rows = check_Ln(REFERENCE, 1.0, 20)
         assert len(rows) == 19  # n = 2..20
         assert all(abs(e - c) <= 1e-11 * abs(c) for _, e, c in rows)
+
+    @pytest.mark.parametrize("params,corrupt,n_max", [g[1:] for g in WING_GRAPHS],
+                             ids=[g[0] for g in WING_GRAPHS])
+    def test_matches_literal_wing_words(self, params, corrupt, n_max):
+        # the transfer matrix against every admissible word, on the graph it
+        # is given; the closed form holds on the clean graphs alone
+        graph = edge_graph(params, **corrupt)
+        for beta in (0.6, 1.0):
+            rows = check_Ln(params, beta, n_max, graph)
+            literal = literal_wing_words(graph, params, beta, n_max)
+            assert [n for n, _, _ in rows] == [n for n, _ in literal]
+            for (n, enum, closed), (_, ref) in zip(rows, literal):
+                assert abs(enum - ref) <= 1e-13 * max(1.0, ref), (beta, n, enum, ref)
+                if not corrupt:
+                    assert abs(enum - closed) <= 1e-13 * closed, (beta, n)
+
+    def test_reads_the_default_graph(self):
+        for p in (REFERENCE, PARAMS_B):
+            assert check_Ln(p, 1.0, 20) == check_Ln(p, 1.0, 20, build_graph(p))
+
+    def test_peak_allocation_is_small(self):
+        # a transfer matrix of at most 4 x 4, not one weight per word: the
+        # buffer it replaced held 2^18 floats (2.1 MB) at n = 20
+        check_Ln(REFERENCE, 1.0, 20)
+        tracemalloc.start()
+        try:
+            check_Ln(REFERENCE, 1.0, 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024, peak
 
 
 P_L3 = ModelParams(1.0, 0.5, 1.0, 1.0, L=3)
@@ -631,6 +674,16 @@ class TestVerificationTable:
                 assert_close(r.analytic, analytic, 1e-14 * analytic, r.name)
                 assert_close(r.oracle, oracle, 1e-14 * oracle, r.name)
                 assert_close(r.bound, bound, 1e-14 * bound, r.name)
+
+    @pytest.mark.parametrize("variant,drop", [(v, e) for v in "AB" for e in WING_BLOCK[v]],
+                             ids=[f"{v}-drop-{a}:{b}" for v in "AB" for a, b in WING_BLOCK[v]])
+    def test_wing_block_drop_fails_an_Ln_row(self, variant, drop):
+        # the L_n rows read the graph's wing block: each dropped edge in it
+        # FAILs one, where the clean graph passes them all
+        p = ModelParams(1.0, 0.5, 1.0, 1.0, 1, variant)
+        for graph, clean in ((build_graph(p), True), (edge_graph(p, drop_edges=[drop]), False)):
+            rows = verification_table(p, graph, 16, 8, 20)
+            assert all(r.ok for r in rows if r.name.startswith("L_n")) == clean, drop
 
     def test_negative_control_fails_every_certified_row(self):
         graph = build_graph(REFERENCE, extra_edges=[("4", "2")])
