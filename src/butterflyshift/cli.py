@@ -55,6 +55,13 @@ class RunConfig:
             raise ConfigError("beta_step must be > 0")
         if (self.beta_stop - self.beta_start) / self.beta_step >= MAX_GRID_POINTS:
             raise ConfigError(f"the beta grid must hold at most {MAX_GRID_POINTS} points")
+        # a grid point round(start + k*step, 12) lies within 1e-12 / 2 plus
+        # two roundings of 2^-53 * beta_stop of its exact value, so a larger
+        # step keeps every point apart; a smaller one may repeat points, and
+        # one below the spacing of doubles never reaches beta_stop
+        if self.beta_step <= 1e-12 + 2.0 ** -50 * self.beta_stop:
+            raise ConfigError("beta_step is below the grid's resolution: 1e-12, "
+                              "and the spacing of doubles near beta_stop")
         if not (1 <= self.n_return <= oracle.RAW_HORIZON_CAP):
             raise ConfigError(f"n_return must be in 1..{oracle.RAW_HORIZON_CAP}")
         if not (3 <= self.n_period <= oracle.PERIOD_CAP):

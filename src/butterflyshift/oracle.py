@@ -284,6 +284,8 @@ def _compare_returns(params: ModelParams, beta: float, Z: float, N: int,
     reference table that leaves one probe, two lambda evaluations per row.
     On a graph with an edge the walk does not read, the tail is infinite, so
     the row FAILs and prints an infinite bound."""
+    if not 1 <= N <= RAW_HORIZON_CAP:
+        raise ValueError(f"graph-walk enumeration needs N in 1..{RAW_HORIZON_CAP}, got {N}")
     if graph is None:
         graph = build_graph(params)
     if target == ONE:
@@ -292,8 +294,6 @@ def _compare_returns(params: ModelParams, beta: float, Z: float, N: int,
         cyl, lam_fn, z_floor = "32", _lambda_32, abscissa_32(params, beta)
     if Z <= z_floor:
         raise ValueError(f"Z={Z} is not inside the [{cyl}] convergence domain (Z_c={z_floor})")
-    if N > RAW_HORIZON_CAP:
-        raise ValueError(f"graph-walk enumeration capped at N={RAW_HORIZON_CAP}")
     per_tau = _return_walk(graph, params, beta, Z, N, target)
     lam = lam_fn(params, beta, Z)
     if not lam.defined:
@@ -347,8 +347,8 @@ def check_Ln(params: ModelParams, beta: float, n_max: int,
     by the symbol each step enters, so a dropped or added wing edge changes
     it.  `graph` defaults to `build_graph(params)`.
     """
-    if n_max > LN_CAP:
-        raise ValueError(f"check_Ln capped at n_max={LN_CAP}")
+    if not 2 <= n_max <= LN_CAP:
+        raise ValueError(f"check_Ln needs n_max in 2..{LN_CAP}, got {n_max}")
     if graph is None:
         graph = build_graph(params)
     e3 = math.exp(-beta * params.delta)  # a 3 where the heaviest word has a 4
@@ -428,8 +428,8 @@ def periodic_orbit_pressure(params: ModelParams, beta: float, n: int,
     states of a class of twins (same steps, same potential) are entered with
     its multiplicity as a factor.
     """
-    if n > PERIOD_CAP:
-        raise ValueError(f"periodic_orbit_pressure capped at n={PERIOD_CAP}")
+    if not 1 <= n <= PERIOD_CAP:
+        raise ValueError(f"periodic_orbit_pressure needs n in 1..{PERIOD_CAP}, got {n}")
     if graph is None:
         graph = build_graph(params)
     syms, k = graph.alphabet, len(graph.alphabet)

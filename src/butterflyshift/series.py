@@ -1,6 +1,7 @@
-"""Certified evaluation of the three return-word series.
+"""Certified evaluation of the three return-word series and their Z-slopes.
 
-Everything here reduces to sums of the shape
+Sigma1, Sigma2 and Sigma3 and their Z-slopes are stated here alone (`sigma1`,
+`wing_sums`); everything reduces to sums of the shape
 
     T(s, W) = sum_{n>=1} (n+1)^(-s) e^(-n W),
 
@@ -61,14 +62,16 @@ _BERNOULLI = (
 class SeriesEval:
     """Value of a truncated series with a certificate for the discarded tail.
 
-    When ``divergent`` is set the other fields are meaningless and must not
-    be consumed.
+    ``slope`` is dvalue/dZ where asked for (`sigma1` always gives it), else
+    NaN.  When ``divergent`` is set the other fields are meaningless and must
+    not be consumed.
     """
 
     value: float
     tail_bound: float
     terms_used: int
     divergent: bool
+    slope: float = math.nan
 
 
 _DIVERGENT = SeriesEval(math.nan, math.nan, 0, True)
@@ -287,12 +290,13 @@ def tail_sum_pair(s: float, W: float) -> tuple[SeriesEval, SeriesEval]:
 def sigma1(params: ModelParams, beta: float, Z: float) -> SeriesEval:
     """sum_{n>=1} e^(-n*alpha*beta - nZ + (n-1) log L): the 1-family excursions.
 
-    Geometric, so taken in closed form; divergent iff Z <= log L - alpha*beta.
+    Geometric, in closed form with its Z-slope; divergent iff Z <= log L - alpha*beta.
     """
-    r = params.L * math.exp(-params.alpha * beta - Z)
+    a = math.exp(-params.alpha * beta - Z)
+    r = params.L * a
     if r >= 1.0:
         return _DIVERGENT
-    return SeriesEval(math.exp(-params.alpha * beta - Z) / (1.0 - r), 0.0, 0, False)
+    return SeriesEval(a / (1.0 - r), 0.0, 0, False, -a / (1.0 - r) ** 2)
 
 
 def wing_prefactor(params: ModelParams, beta: float) -> float:
@@ -323,8 +327,22 @@ def single_block_correction(params: ModelParams, beta: float, Z: float) -> float
             * _sigmoid(params.delta * beta))
 
 
-def sigma3(params: ModelParams, beta: float, Z: float,
-           base: SeriesEval | None = None) -> SeriesEval:
+def _wing_blocks(params: ModelParams, beta: float, Z: float, base: SeriesEval,
+                 shifted: SeriesEval | None = None) -> SeriesEval:
+    """Sigma3 from T(eps*beta, W), and its Z-slope from T(eps*beta - 1, W) if given."""
+    if base.divergent:
+        return _DIVERGENT
+    pref = wing_prefactor(params, beta)
+    corr = single_block_correction(params, beta, Z)
+    value = base.value * pref + corr
+    # Sigma3 = pref * T(s, W) + corr, so d/dZ = -pref * (T(s-1, W) - T(s, W)) - corr
+    slope = (math.nan if shifted is None else -math.inf if shifted.divergent
+             else (value - corr) - pref * shifted.value - corr)
+    return SeriesEval(value, base.tail_bound * pref + 4e-16 * abs(value),
+                      base.terms_used, False, slope)
+
+
+def sigma3(params: ModelParams, beta: float, Z: float) -> SeriesEval:
     """Weight of maximal wing blocks between consecutive 2-strings.
 
     With W = Z - P34(beta):
@@ -332,16 +350,23 @@ def sigma3(params: ModelParams, beta: float, Z: float,
         sigma3 = (1+e^(delta*beta))^-2 * sum_{n>=1} (n+1)^(-eps*beta) e^(-nW)
                  + single_block_correction
 
-    Divergent iff W < 0, or W = 0 with eps*beta <= 1.  `base` is the sum
-    T(eps*beta, W) when the caller has it already, as the first member of a
-    `tail_sum_pair`.
+    Divergent iff W < 0, or W = 0 with eps*beta <= 1.
     """
-    if base is None:
-        base = tail_sum(params.epsilon * beta, Z - wing_pressure(params, beta))
-    if base.divergent:
-        return _DIVERGENT
-    pref = wing_prefactor(params, beta)
-    corr = single_block_correction(params, beta, Z)
-    value = base.value * pref + corr
-    return SeriesEval(value, base.tail_bound * pref + 4e-16 * abs(value),
-                      base.terms_used, False)
+    return _wing_blocks(params, beta, Z,
+                        tail_sum(params.epsilon * beta, Z - wing_pressure(params, beta)))
+
+
+def wing_sums(params: ModelParams, beta: float, Z: float,
+              slope: bool = False) -> tuple[SeriesEval, SeriesEval]:
+    """(Sigma2, Sigma3) = (`tail_sum(beta, Z)`, `sigma3`), one pass each; with
+    `slope`, each also carries its Z-slope from one `tail_sum_pair` pass, since
+    n (n+1)^(-s) = (n+1)^(1-s) - (n+1)^(-s).  A derivative series that
+    diverges (at W = 0 with s <= 2) gives a slope of -inf.
+    """
+    if not slope:
+        return tail_sum(beta, Z), sigma3(params, beta, Z)
+    t2, t2m = tail_sum_pair(beta, Z)
+    t3, t3m = tail_sum_pair(params.epsilon * beta, Z - wing_pressure(params, beta))
+    d2 = -math.inf if t2m.divergent else t2.value - t2m.value
+    s2 = SeriesEval(t2.value, t2.tail_bound, t2.terms_used, t2.divergent, d2)
+    return s2, _wing_blocks(params, beta, Z, t3, t3m)

@@ -11,11 +11,13 @@ from the three series:
 with m = 1 for variant A and m = 2 for variant B (a 2-string can be followed
 by either wing family).
 
-Each map has one evaluator: `lambda_1` for lambda_[1] and `composition`
-for m Sigma2 Sigma3.  Asked for its slope, it also returns the
-Z-derivative (every term of a series in e^(-nZ) gains a factor -n), from
-two paired series passes instead of two single ones; the root solves for the
-pressure and the composition boundary ask for it.
+The series and their Z-slopes come from `series` (`sigma1`, `wing_sums`);
+this module binds no closed-form ingredient and only assembles them.  Each
+map has one evaluator: `lambda_1` for lambda_[1] and `composition` for
+m Sigma2 Sigma3, and both, with `lambda_32`, read m Sigma2 Sigma3 and its
+slope from one helper.  Asked for its slope, an evaluator also returns the
+Z-derivative, from two paired series passes instead of two single ones; the
+root solves for the pressure and the composition boundary ask for it.
 
 The composition m Sigma2 Sigma3 reads only the wing parameters (gamma,
 delta, eps, variant), never alpha or L.  Its boundary Z~_c and its floor
@@ -32,15 +34,7 @@ from functools import wraps
 
 from .model import ModelParams, wing_params, wing_pressure
 from .roots import newton_log_offset
-from .series import (
-    SeriesEval,
-    sigma1,
-    sigma3,
-    single_block_correction,
-    tail_sum,
-    tail_sum_pair,
-    wing_prefactor,
-)
+from .series import SeriesEval, sigma1, wing_sums
 
 GEOMETRIC_ONE_FAMILY = "GeometricOneFamily"
 WING_COMPOSITION = "WingComposition"
@@ -81,29 +75,13 @@ class AbscissaReport:
     converges_at_Zc: bool
 
 
-def _wings(params: ModelParams, beta: float, Z: float,
-           slope: bool) -> tuple[SeriesEval, SeriesEval, float, float]:
-    """(Sigma2, Sigma3, dSigma2/dZ, dSigma3/dZ); the slopes are NaN unless `slope`.
-
-    Without `slope` each series is one `tail_sum` pass: Sigma2 is
-    `tail_sum(beta, Z)` and `sigma3` makes Sigma3.  With `slope` each is one
-    `tail_sum_pair` pass, T(s, .) and T(s-1, .), since n (n+1)^(-s) =
-    (n+1)^(1-s) - (n+1)^(-s).  A derivative series that diverges (at W = 0
-    with s <= 2) gives a slope of -inf.
-    """
-    if not slope:
-        return tail_sum(beta, Z), sigma3(params, beta, Z), math.nan, math.nan
-    s2, t2m = tail_sum_pair(beta, Z)
-    t3, t3m = tail_sum_pair(params.epsilon * beta, Z - wing_pressure(params, beta))
-    s3 = sigma3(params, beta, Z, t3)
+def _product(params: ModelParams, s2: SeriesEval, s3: SeriesEval) -> tuple[float, float]:
+    """m * Sigma2 * Sigma3 and its Z-slope (NaN unless both series carry one);
+    +inf and NaN where a series diverges."""
     if s2.divergent or s3.divergent:
-        return s2, s3, math.nan, math.nan
-    pref = wing_prefactor(params, beta)
-    corr = single_block_correction(params, beta, Z)
-    # Sigma3 = pref * T(s, W) + corr, so d/dZ = -pref * (T(s-1, W) - T(s, W)) - corr
-    d2 = -math.inf if t2m.divergent else s2.value - t2m.value
-    d3 = -math.inf if t3m.divergent else (s3.value - corr) - pref * t3m.value - corr
-    return s2, s3, d2, d3
+        return math.inf, math.nan
+    m = wing_multiplicity(params)
+    return m * s2.value * s3.value, m * (s2.slope * s3.value + s2.value * s3.slope)
 
 
 def lambda_1(params: ModelParams, beta: float, Z: float,
@@ -116,16 +94,16 @@ def lambda_1(params: ModelParams, beta: float, Z: float,
     s1 = sigma1(params, beta, Z)
     if s1.divergent:
         return SpectralValue(math.inf, False, s1, None, None)
-    s2, s3, d2, d3 = _wings(params, beta, Z, slope)
-    m = wing_multiplicity(params)
-    if s2.divergent or s3.divergent or m * s2.value * s3.value >= 1.0:
+    s2, s3 = wing_sums(params, beta, Z, slope)
+    comp, dcomp = _product(params, s2, s3)
+    if comp >= 1.0:
         return SpectralValue(math.inf, False, s1, s2, s3)
     a = math.exp(-params.alpha * beta - Z)
-    den = 1.0 - m * s2.value * s3.value
+    den = 1.0 - comp
     value = s1.value + (s2.value * a / den)
-    # Sigma1 = a / (1 - L a) is geometric; d2 and d3 are NaN without `slope`
-    dvalue = (-a / (1.0 - params.L * a) ** 2 + a * (d2 - s2.value) / den
-              + s2.value * a * m * (d2 * s3.value + s2.value * d3) / den ** 2)
+    # the wing slopes are NaN without `slope`, and so is dvalue then
+    dvalue = (s1.slope + a * (s2.slope - s2.value) / den
+              + s2.value * a * dcomp / den ** 2)
     return SpectralValue(value, True, s1, s2, s3, dvalue)
 
 
@@ -137,10 +115,11 @@ def lambda_32(params: ModelParams, beta: float, Z: float) -> SpectralValue:
     number of times first, giving the geometric composition.
     """
     s1 = SeriesEval(0.0, 0.0, 0, False)  # the 1-family plays no role here
-    s2, s3, _, _ = _wings(params, beta, Z, False)
+    s2, s3 = wing_sums(params, beta, Z)
     if s2.divergent or s3.divergent:
         return SpectralValue(math.inf, False, s1, s2, s3)
-    z = s2.value * s3.value
+    # m is 1 or 2, so dividing it out is exact: z = Sigma2 * Sigma3
+    z = _product(params, s2, s3)[0] / wing_multiplicity(params)
     if params.variant == "A":
         return SpectralValue(z, True, s1, s2, s3)
     if z >= 1.0:
@@ -155,11 +134,7 @@ def composition(params: ModelParams, beta: float, Z: float,
     The value is +inf when a series diverges; the slope is NaN then and
     when it is not asked for.
     """
-    s2, s3, d2, d3 = _wings(params, beta, Z, slope)
-    if s2.divergent or s3.divergent:
-        return math.inf, math.nan
-    m = wing_multiplicity(params)
-    return m * s2.value * s3.value, m * (d2 * s3.value + s2.value * d3)
+    return _product(params, *wing_sums(params, beta, Z, slope))
 
 
 def _memo_per_point(solve):

@@ -92,6 +92,26 @@ class TestConfig:
         code, _ = run(["curves", "--beta-stop", "1e9"])
         assert code == EXIT_CONFIG
 
+    def test_unresolvable_beta_step_exits_2(self, tmp_path):
+        # start + k*step stops advancing once the step is below the spacing of
+        # doubles, where (stop - start) / step reads 0: at 1e17 the grid
+        # repeated one point 801 times, and at 1e300 it never ended
+        for bad in ({"beta_start": 1e17, "beta_stop": 1e17},
+                    {"beta_start": 1e300, "beta_stop": 1e300},
+                    {"beta_stop": 1e-11, "beta_step": 1e-13}):
+            with pytest.raises(ConfigError, match="resolution"):
+                RunConfig(params=REFERENCE, **bad)
+        out = tmp_path / "never.csv"
+        code, _ = run(["curves", "--beta-start", "1e300", "--beta-stop", "1e300",
+                       "--out", str(out)])
+        assert code == EXIT_CONFIG and not out.exists()
+        # just above the resolution every point is its own
+        for ok in ({"beta_stop": 1e-9, "beta_step": 2e-12},
+                   {"beta_start": 1e3, "beta_stop": 1e3 + 1e-9, "beta_step": 2e-12},
+                   {"beta_start": 2.0 ** 40, "beta_stop": 2.0 ** 40 + 0.01, "beta_step": 1e-3}):
+            grid = cli._beta_grid(RunConfig(params=REFERENCE, **ok))
+            assert len(grid) > 1 and grid == sorted(set(grid)), ok
+
     def test_unwritable_output_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "missing"
         for argv in (["critical", "--out", str(missing / "x.csv")],

@@ -69,6 +69,20 @@ WING_BLOCK = {"A": [("3", "3"), ("3", "4"), ("4", "3"), ("4", "4")]}
 WING_BLOCK["B"] = WING_BLOCK["A"] + [(a + "'", b + "'") for a, b in WING_BLOCK["A"]]
 
 
+@pytest.mark.parametrize("call, accepted", [
+    (lambda h: enumerate_returns_to_1(REFERENCE, 0.5, 2.0, h), f"1..{RAW_HORIZON_CAP}"),
+    (lambda h: enumerate_returns_to_32(REFERENCE, 0.5, 2.0, h), f"1..{RAW_HORIZON_CAP}"),
+    (lambda h: periodic_orbit_pressure(REFERENCE, 0.5, h), f"1..{oracle.PERIOD_CAP}"),
+    (lambda h: check_Ln(REFERENCE, 0.5, h + 1), f"2..{oracle.LN_CAP}"),
+], ids=["returns_to_1", "returns_to_32", "periodic", "check_Ln"])
+@pytest.mark.parametrize("horizon", [0, -1])
+def test_horizon_below_range_names_the_range(call, accepted, horizon):
+    # these raised IndexError or numpy's "negative dimensions", or (check_Ln
+    # at n_max = 1) returned [] without a word
+    with pytest.raises(ValueError, match=accepted):
+        call(horizon)
+
+
 class TestCheckLn:
     # every weight is scaled by e^-(n*beta*gamma + (n-2)*beta*delta)
 

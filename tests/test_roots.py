@@ -15,13 +15,8 @@ from butterflyshift.critical import (
 )
 from butterflyshift.model import ModelParams, REFERENCE, wing_pressure
 from butterflyshift.roots import OFFSET_FLOOR, bisect_log_offset, newton_log_offset
-from butterflyshift.spectral import (
-    _wings,
-    composition,
-    composition_boundary,
-    lambda_1,
-)
-from butterflyshift.series import sigma3, tail_sum
+from butterflyshift.spectral import composition, composition_boundary, lambda_1
+from butterflyshift.series import sigma3, tail_sum, wing_sums
 
 from conftest import clear_solve_memos
 
@@ -211,7 +206,7 @@ class TestDerivatives:
             z = wing_pressure(params, beta) + w
             value, slope = composition(params, beta, z, slope=True)
             s2, s3 = tail_sum(beta, z), sigma3(params, beta, z)
-            _, _, d2, d3 = _wings(params, beta, z, slope=True)
+            d2, d3 = (e.slope for e in wing_sums(params, beta, z, slope=True))
             m = 2 if params.variant == "B" else 1
             assert value == m * s2.value * s3.value
             assert abs(slope - m * (d2 * s3.value + s2.value * d3)) <= 1e-12 * abs(slope)

@@ -16,8 +16,9 @@ from butterflyshift.series import (
     single_block_correction,
     tail_sum,
     tail_sum_pair,
+    wing_sums,
 )
-from butterflyshift.spectral import _wings, composition_boundary, lambda_1
+from butterflyshift.spectral import composition_boundary, lambda_1
 
 from conftest import assert_close
 
@@ -212,17 +213,17 @@ class TestDsigma:
         p = ModelParams(1.0, 0.01, 0.01, 1.0, L=1)
         h = 1e-5
         for beta, Z in [(0.3, 0.8), (0.7, 0.9), (1.4, 0.75), (2.2, 1.3)]:
-            d2 = _wings(p, beta, Z, slope=True)[2]
+            d2 = wing_sums(p, beta, Z, slope=True)[0].slope
             fd = (tail_sum(beta, Z + h).value - tail_sum(beta, Z - h).value) / (2 * h)
             assert_close(d2, fd, 1e-6, f"beta={beta} Z={Z}")
 
     def test_s3_divergence_boundary(self):
         # at the pressure floor the derivative series converges iff eps*beta > 2
         p19 = ModelParams(1.0, 0.5, 1.0, 1.9, L=1)
-        assert _wings(p19, 1.0, wing_pressure(p19, 1.0), slope=True)[3] == -math.inf
+        assert wing_sums(p19, 1.0, wing_pressure(p19, 1.0), slope=True)[1].slope == -math.inf
         assert not equilibrium_report(p19, "at_beta_hi", 1.0).return_time_derivative_finite
         p25 = ModelParams(1.0, 0.5, 1.0, 2.5, L=1)
-        assert math.isfinite(_wings(p25, 1.0, wing_pressure(p25, 1.0), slope=True)[3])
+        assert math.isfinite(wing_sums(p25, 1.0, wing_pressure(p25, 1.0), slope=True)[1].slope)
         assert equilibrium_report(p25, "at_beta_hi", 1.0).return_time_derivative_finite
 
     def test_s3_value_against_termwise_sum(self):
@@ -231,7 +232,7 @@ class TestDsigma:
         p25 = ModelParams(1.0, 0.5, 1.0, 2.5, L=1)
         beta = 1.0
         z0 = wing_pressure(p25, beta)
-        d3 = _wings(p25, beta, z0, slope=True)[3]
+        d3 = wing_sums(p25, beta, z0, slope=True)[1].slope
         log_g = p25.gamma * beta
         log_q = math.log(1.0 + math.exp(p25.delta * beta))
         rate = log_g + log_q - z0
@@ -249,7 +250,7 @@ class TestDsigma:
         h = 1e-6
         beta = 1.1
         z = wing_pressure(REFERENCE, beta) + 0.4
-        d3 = _wings(REFERENCE, beta, z, slope=True)[3]
+        d3 = wing_sums(REFERENCE, beta, z, slope=True)[1].slope
         fd = (sigma3(REFERENCE, beta, z + h).value
               - sigma3(REFERENCE, beta, z - h).value) / (2 * h)
         assert_close(d3, fd, 1e-5)

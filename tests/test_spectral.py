@@ -1,9 +1,13 @@
+import importlib
 import math
+import pkgutil
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import butterflyshift
+from butterflyshift import series
 from butterflyshift.critical import critical_set, pressure_mid
 from butterflyshift.model import ModelParams, REFERENCE, wing_pressure
 from butterflyshift.series import sigma3, tail_sum
@@ -165,3 +169,45 @@ class TestAbscissa:
         v = composition(REFERENCE, beta, wing_pressure(REFERENCE, beta))[0]
         expect = tail_sum(beta, z0).value * sigma3(REFERENCE, beta, z0).value
         assert_close(v, expect, 1e-13)
+
+
+class TestSeriesStatedOnce:
+    """`series` states Sigma1, Sigma2 and Sigma3 and their Z-slopes; `spectral`
+    only assembles them, so one name per closed-form ingredient reaches both
+    the value and the slope of every map."""
+
+    INGREDIENTS = ("sigma3", "single_block_correction", "tail_sum", "tail_sum_pair",
+                   "wing_prefactor")
+
+    @pytest.mark.parametrize("params", [REFERENCE, PARAMS_B], ids=["A", "B"])
+    @pytest.mark.parametrize("name", ["wing_prefactor", "single_block_correction"])
+    def test_patched_ingredient_moves_value_and_slope_alike(self, monkeypatch, name, params):
+        # with the ingredient stated twice, a patch moved the slope 1e-6 to
+        # 1e-2 away from the differences of the value; clean, they agree to
+        # 2e-10 for lambda_1 and 2e-9 for the composition
+        real = getattr(series, name)
+        monkeypatch.setattr(series, name, lambda *args: 1.01 * real(*args))
+        h = 1e-5
+        for beta, w in ((0.5, 0.2), (1.2, 0.5)):
+            z = abscissa(params, beta).Z_c + w
+            fd = (lambda_1(params, beta, z + h).value
+                  - lambda_1(params, beta, z - h).value) / (2 * h)
+            slope = lambda_1(params, beta, z, slope=True).slope
+            assert abs(slope - fd) <= 1e-8 * abs(fd), (beta, slope, fd)
+            fd = (composition(params, beta, z + h)[0]
+                  - composition(params, beta, z - h)[0]) / (2 * h)
+            slope = composition(params, beta, z, slope=True)[1]
+            assert abs(slope - fd) <= 1e-8 * abs(fd), (beta, slope, fd)
+
+    def test_no_other_module_binds_a_series_ingredient(self):
+        # the package namespace re-exports sigma3 as a public name; it is not
+        # among the submodules, and __main__ is skipped since importing it runs
+        # the command line
+        ingredients = [getattr(series, n) for n in self.INGREDIENTS] + [series]
+        for info in pkgutil.iter_modules(butterflyshift.__path__):
+            if info.name in ("series", "__main__"):
+                continue
+            module = importlib.import_module(f"butterflyshift.{info.name}")
+            bound = sorted(k for k, v in vars(module).items()
+                           if k in self.INGREDIENTS or any(v is i for i in ingredients))
+            assert bound == [], f"{info.name} binds {bound}"
